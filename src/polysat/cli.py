@@ -6,7 +6,6 @@ limit errors.  JSON is the single interchange format; DOT is export-only.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 
@@ -17,32 +16,41 @@ from . import graphdual, io, kfamily, poset, saturation
 from .errors import PolysatError
 
 
-def _fail_on_polysat_error(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Group(click.Group):
+    """Maps every PolysatError of a subcommand to a message and exit 2."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except PolysatError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
 
-    return wrapper
-
 
 def _read_poset(source):
-    if source == "-":
-        text = sys.stdin.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if source == "-":
+            text = sys.stdin.read()
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PolysatError(f"cannot read {source}: {exc}") from None
     return io.loads(text)
+
+
+def _int_list(ctx, param, value):
+    try:
+        return tuple(int(x) for x in value.split(","))
+    except ValueError:
+        raise click.BadParameter("expected comma-separated integers") from None
 
 
 def _emit_poset(p, dot):
     click.echo(io.export_dot(p) if dot else io.dumps(p), nl=False)
 
 
-@click.group()
+@click.group(cls=_Group)
 def main():
     """Exact computations on finite posets: maximum k-families, saturated
     chain partitions, and polyunsaturated constructions."""
@@ -56,18 +64,17 @@ def construct_group():
 @construct_group.command("pj")
 @click.option("--j", "j", type=int, required=True, help="Tower index j >= 1.")
 @click.option("--dot", is_flag=True, help="Emit DOT instead of JSON.")
-@_fail_on_polysat_error
 def construct_pj(j, dot):
     p, _ = con.build_pj(j)
     _emit_poset(p, dot)
 
 
 @construct_group.command("delta")
-@click.option("--b", "bspec", required=True, help="Comma-separated sequence.")
+@click.option(
+    "--b", required=True, callback=_int_list, help="Comma-separated sequence."
+)
 @click.option("--dot", is_flag=True)
-@_fail_on_polysat_error
-def construct_delta(bspec, dot):
-    b = tuple(int(x) for x in bspec.split(","))
+def construct_delta(b, dot):
     _emit_poset(con.from_delta(b), dot)
 
 
@@ -76,7 +83,6 @@ def construct_delta(bspec, dot):
 @click.option("--c", "c", type=int, required=True)
 @click.option("--a", "a", type=int, required=True)
 @click.option("--dot", is_flag=True)
-@_fail_on_polysat_error
 def construct_nca(n, c, a, dot):
     _emit_poset(con.realize_nca(n, c, a), dot)
 
@@ -97,32 +103,34 @@ def _dk_table_lines(p, csv):
 @main.command("dk-table")
 @click.argument("input", default="-")
 @click.option("--csv", is_flag=True)
-@_fail_on_polysat_error
 def dk_table(input, csv):
     p = _read_poset(input)
     for line in _dk_table_lines(p, csv):
         click.echo(line)
 
 
-def _report_obj(report, p):
+def _print_report(report):
+    """Print a certificate report as JSON and exit 0 iff polyunsaturated."""
     pairs = []
     for (k, l), verdict in sorted(report.pair_verdicts.items()):
         entry = {"k": k, "l": l}
         if isinstance(verdict, saturation.NoJointPartition):
             entry["verdict"] = "no_joint_partition"
             entry["min_joint_norm"] = verdict.min_joint_norm
-            entry["dk_plus_dl"] = kfamily.dk(p, k) + kfamily.dk(p, l)
+            entry["dk_plus_dl"] = report.d[k - 1] + report.d[l - 1]
         else:
             entry["verdict"] = "witness"
             entry["chains"] = [
                 list(c.elems) for c in verdict.partition.chains
             ]
         pairs.append(entry)
-    return {
+    obj = {
         "height": report.c,
         "polyunsaturated": report.conclusion,
         "pairs": pairs,
     }
+    click.echo(json.dumps(obj, sort_keys=True))
+    sys.exit(0 if report.conclusion else 1)
 
 
 @main.command("certify")
@@ -131,27 +139,26 @@ def _report_obj(report, p):
 @click.option(
     "--budget-seconds", type=float, default=saturation.DEFAULT_BUDGET_S
 )
-@_fail_on_polysat_error
 def certify(input, limit_n, budget_seconds):
     p = _read_poset(input)
     report = saturation.is_polyunsaturated(
         p, limit_n=limit_n, budget_s=budget_seconds
     )
-    click.echo(json.dumps(_report_obj(report, p), sort_keys=True))
-    sys.exit(0 if report.conclusion else 1)
+    _print_report(report)
 
 
 @main.command("saturate")
 @click.argument("input", default="-")
-@click.option("--ks", required=True, help="Comma-separated k values.")
+@click.option(
+    "--ks", required=True, callback=_int_list, help="Comma-separated k values."
+)
 @click.option("--limit-n", type=int, default=saturation.DEFAULT_LIMIT_N)
 @click.option(
     "--budget-seconds", type=float, default=saturation.DEFAULT_BUDGET_S
 )
-@_fail_on_polysat_error
 def saturate(input, ks, limit_n, budget_seconds):
     p = _read_poset(input)
-    targets = sorted(int(x) for x in ks.split(","))
+    targets = sorted(ks)
     cp = saturation.find_saturated(
         p, targets, limit_n=limit_n, budget_s=budget_seconds
     )
@@ -168,25 +175,20 @@ def saturate(input, ks, limit_n, budget_seconds):
     )
 
 
-def _parse_realizer(spec):
-    try:
-        one, two = spec.split("/")
-        return poset.Realizer(
-            tuple(int(x) for x in one.split(",")),
-            tuple(int(x) for x in two.split(",")),
-        )
-    except ValueError:
-        raise click.UsageError(
-            "realizer must look like 0,1,2/2,1,0 (two permutations)"
-        )
+def _parse_realizer(ctx, param, spec):
+    if spec is None:
+        return None
+    one, _, two = spec.partition("/")
+    return poset.Realizer(
+        _int_list(ctx, param, one), _int_list(ctx, param, two)
+    )
 
 
 @main.command("dual")
 @click.argument("input", default="-")
 @click.option(
     "--realizer",
-    "realizer_spec",
-    default=None,
+    callback=_parse_realizer,
     help="Two comma-separated permutations joined by '/'; defaults to the"
     " construction-carried realizer.",
 )
@@ -196,25 +198,20 @@ def _parse_realizer(spec):
 @click.option(
     "--budget-seconds", type=float, default=saturation.DEFAULT_BUDGET_S
 )
-@_fail_on_polysat_error
-def dual(input, realizer_spec, table, csv, limit_n, budget_seconds):
+def dual(input, realizer, table, csv, limit_n, budget_seconds):
     p = _read_poset(input)
-    r = _parse_realizer(realizer_spec) if realizer_spec else p.realizer
-    q = graphdual.conjugate(p, r)
     if table:
-        for line in _dk_table_lines(q, csv):
+        for line in _dk_table_lines(graphdual.conjugate(p, realizer), csv):
             click.echo(line)
         return
-    report = saturation.is_polyunsaturated(
-        q, limit_n=limit_n, budget_s=budget_seconds
+    report = graphdual.is_co_polyunsaturated(
+        p, realizer, limit_n=limit_n, budget_s=budget_seconds
     )
-    click.echo(json.dumps(_report_obj(report, q), sort_keys=True))
-    sys.exit(0 if report.conclusion else 1)
+    _print_report(report)
 
 
 @main.command("enumerate")
 @click.option("--n", "n", type=int, required=True)
-@_fail_on_polysat_error
 def enumerate_cmd(n):
     for p in poset.enumerate_posets(n):
         click.echo(io.dumps(p), nl=False)
@@ -225,7 +222,6 @@ def enumerate_cmd(n):
 @click.option("--c", "c", type=int, default=None)
 @click.option("--a", "a", type=int, default=None)
 @click.option("--dual", "dual_side", is_flag=True)
-@_fail_on_polysat_error
 def feasible(n, c, a, dual_side):
     """Existence of a polyunsaturated poset with the given parameters.
 

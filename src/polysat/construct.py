@@ -46,7 +46,8 @@ class FeasibilityVerdict:
     failed_conditions: tuple
 
     def __post_init__(self):
-        assert self.feasible == (not self.failed_conditions)
+        if self.feasible != (not self.failed_conditions):
+            raise ValueError("feasible iff no condition failed")
 
 
 def build_pj(j):
@@ -91,8 +92,8 @@ def build_pj(j):
         ext2 += sorted(T[i])
     ext2 += list(s) + list(reversed(r))
     p.realizer = Realizer(tuple(ext1), tuple(ext2))
-    assert p.n == math.comb(j + 2, 2)
-    assert height(p) == j + 2 and width(p) == j
+    if p.n != math.comb(j + 2, 2) or (height(p), width(p)) != (j + 2, j):
+        raise AssertionError(f"P_{j} has the wrong size, height or width")
     return p, labels
 
 
@@ -112,7 +113,8 @@ def ck_partition(j, k):
         if rest:
             chains.append(Chain(tuple(rest)))
     cp = ChainPartition(p, tuple(chains))
-    assert is_k_saturated(p, cp, k) and is_k_saturated(p, cp, k + 1)
+    if not (is_k_saturated(p, cp, k) and is_k_saturated(p, cp, k + 1)):
+        raise AssertionError(f"C_{k} of P_{j} is not {k}/{k + 1}-saturated")
     return cp
 
 
@@ -220,7 +222,8 @@ def sequence_for(n, c, a):
         add = min(room, deficit)
         b[i] += add
         deficit -= add
-    assert deficit == 0
+    if deficit:
+        raise AssertionError(f"upper bounds leave {deficit} unplaced")
     return DeltaSequence(tuple(b))
 
 
@@ -243,5 +246,6 @@ def feasible_nc(n, c):
 def realize_nca(n, c, a):
     """Convenience: sequence_for followed by from_delta, sanity-checked."""
     p = from_delta(sequence_for(n, c, a))
-    assert p.n == n and height(p) == c and width(p) == a
+    if not (p.n == n and height(p) == c and width(p) == a):
+        raise AssertionError(f"realization misses (n={n}, c={c}, a={a})")
     return p

@@ -159,9 +159,10 @@ def conjugate(p, r=None):
     q = Poset(
         n, up, names=names, realizer=Realizer(tuple(range(n)), rev2)
     )
-    assert _graphs_match_under(
+    if not _graphs_match_under(
         comparability_graph(q), complement(comparability_graph(p)), newidx
-    )
+    ):
+        raise AssertionError("conjugate's graph is not the complement")
     return q
 
 

@@ -22,17 +22,34 @@ def poset_to_obj(p):
     return obj
 
 
+def _ints(seq, length=None):
+    """True iff seq is a list of integers, of the given length if any."""
+    return (
+        isinstance(seq, list)
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in seq)
+        and length in (None, len(seq))
+    )
+
+
 def poset_from_obj(obj):
-    try:
-        n = obj["n"]
-        covers = [tuple(pair) for pair in obj.get("covers", [])]
-        names = obj.get("names")
-        realizer = obj.get("realizer")
-    except (TypeError, KeyError) as exc:
-        raise BadParameters(f"malformed poset JSON: {exc}") from None
-    if names is not None and len(names) != n:
-        raise BadParameters("names must have one entry per element")
-    p, mapping = from_covers(n, covers, names=names)
+    """Validate a decoded poset object and build the poset it describes."""
+    if not (isinstance(obj, dict) and _ints([obj.get("n")])):
+        raise BadParameters("malformed poset JSON: need an integer n")
+    n = obj["n"]
+    covers = obj.get("covers", [])
+    names = obj.get("names")
+    realizer = obj.get("realizer")
+    if not (isinstance(covers, list) and all(_ints(c, 2) for c in covers)):
+        raise BadParameters("covers must be a list of [x, y] integer pairs")
+    if names is not None and not (isinstance(names, list) and len(names) == n):
+        raise BadParameters("names must be a list with one entry per element")
+    if realizer is not None and not (
+        isinstance(realizer, list)
+        and len(realizer) == 2
+        and all(_ints(e) and sorted(e) == list(range(n)) for e in realizer)
+    ):
+        raise BadParameters(f"realizer must be two permutations of 0..{n - 1}")
+    p, mapping = from_covers(n, [tuple(c) for c in covers], names=names)
     if realizer is not None:
         ext1, ext2 = realizer
         p.realizer = Realizer(

@@ -9,9 +9,7 @@ the search to at most 2^n states.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -20,20 +18,12 @@ from .errors import (
     PartitionMismatch,
     SizeLimitExceeded,
 )
-from .kfamily import dk
-from .poset import Chain, Poset, bits, height
+from .kfamily import d_sequence, dk
+from .poset import Chain, Poset, bits
 
 DEFAULT_LIMIT_N = 16
 HARD_LIMIT_N = 24
 DEFAULT_BUDGET_S = 600.0
-
-
-def worker_threads():
-    """Worker-thread cap from POLYSAT_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("POLYSAT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -71,9 +61,15 @@ class NoJointPartition:
 
 @dataclass(frozen=True)
 class PolyunsatReport:
-    c: int
+    """Per-pair verdicts, with the d sequence d_1..d_c they compare to."""
+
+    d: tuple
     pair_verdicts: dict = field(default_factory=dict)
     conclusion: bool = True
+
+    @property
+    def c(self):
+        return len(self.d)
 
 
 def mk(cp, k):
@@ -123,69 +119,53 @@ def enumerate_chain_partitions(p, limit_n=DEFAULT_LIMIT_N):
 class _NormSearch:
     """Exact minimizer of sum_{k in ks} m_k over all chain partitions."""
 
-    def __init__(self, p, ks, budget_s=None):
+    def __init__(self, p, ks, deadline):
         self.p = p
-        self.ks = tuple(sorted(ks))
-        self.memo = {}
-        self.deadline = (
-            time.monotonic() + budget_s if budget_s is not None else None
-        )
-        self.ticks = 0
+        self.contrib = [sum(min(k, s) for k in ks) for s in range(p.n + 1)]
+        self.deadline = deadline
+        self.memo = {0: 0}
 
-    def _contrib(self, size):
-        return sum(k if k < size else size for k in self.ks)
-
-    def _tick(self):
-        self.ticks += 1
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceeded("search ran past its time budget")
+    def chains(self, mask):
+        """(size, remaining mask) for every chain through the lowest element
+        of mask, in preorder with smaller successors first."""
+        up = self.p.up
+        i = (mask & -mask).bit_length() - 1
+        out = []
+        stack = [(i, mask & ~(1 << i), 1)]
+        while stack:
+            top, rest, size = stack.pop()
+            out.append((size, rest))
+            succ = up[top] & rest
+            while succ:
+                j = succ.bit_length() - 1
+                succ &= ~(1 << j)
+                stack.append((j, rest & ~(1 << j), size + 1))
+        return out
 
     def minimum(self, mask):
-        if mask == 0:
-            return 0
-        cached = self.memo.get(mask)
-        if cached is not None:
-            return cached
-        self._tick()
-        p = self.p
-        i = (mask & -mask).bit_length() - 1
-        best = [None]
-
-        def extend(top, rest, size):
-            value = self._contrib(size) + self.minimum(rest)
-            if best[0] is None or value < best[0]:
-                best[0] = value
-            for j in bits(p.up[top] & rest):
-                extend(j, rest & ~(1 << j), size + 1)
-
-        extend(i, mask & ~(1 << i), 1)
-        self.memo[mask] = best[0]
-        return best[0]
+        value = self.memo.get(mask)
+        if value is None:
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise BudgetExceeded("search ran past its time budget")
+            value = min(
+                self.contrib[size] + self.minimum(rest)
+                for size, rest in self.chains(mask)
+            )
+            self.memo[mask] = value
+        return value
 
     def witness(self, mask):
         """Reconstruct one minimizing partition from the memo table."""
         chains = []
         while mask:
-            i = (mask & -mask).bit_length() - 1
             target = self.minimum(mask)
-            found = [None]
-
-            def extend(chain, top, rest, size):
-                if found[0] is None and self._contrib(size) + self.minimum(
-                    rest
-                ) == target:
-                    found[0] = (tuple(chain), rest)
-                    return
-                for j in bits(self.p.up[top] & rest):
-                    if found[0] is not None:
-                        return
-                    chain.append(j)
-                    extend(chain, j, rest & ~(1 << j), size + 1)
-                    chain.pop()
-
-            extend([i], i, mask & ~(1 << i), 1)
-            chain, mask = found[0]
-            chains.append(Chain(chain))
+            rest = next(
+                rest
+                for size, rest in self.chains(mask)
+                if self.contrib[size] + self.minimum(rest) == target
+            )
+            chains.append(Chain(tuple(bits(mask & ~rest))))
+            mask = rest
         return ChainPartition(self.p, tuple(chains))
 
 
@@ -200,31 +180,37 @@ def _check_limit(p, limit_n):
         )
 
 
+def _deadline(budget_s):
+    return None if budget_s is None else time.monotonic() + budget_s
+
+
+def _minimize(p, ks, limit_n, budget_s):
+    """Minimum of sum_{k in ks} m_k, with one minimizing partition."""
+    _check_limit(p, limit_n)
+    search = _NormSearch(p, ks, _deadline(budget_s))
+    full = (1 << p.n) - 1
+    return search.minimum(full), search.witness(full)
+
+
 def min_norm(p, k, limit_n=DEFAULT_LIMIT_N, budget_s=None):
     """Minimum m_k over all chain partitions, with one minimizer.
 
-    By Greene-Kleitman the value equals d_k; a mismatch is a bug, so it is
-    asserted.
+    By Greene-Kleitman the value equals d_k; a mismatch is a bug and
+    raises AssertionError.
     """
     if k < 1:
         raise BadK("k must be positive")
-    _check_limit(p, limit_n)
-    search = _NormSearch(p, (k,), budget_s)
-    full = (1 << p.n) - 1
-    value = search.minimum(full)
-    assert value == dk(p, k), "Greene-Kleitman violated: bug in dk or search"
-    return value, search.witness(full)
+    value, partition = _minimize(p, (k,), limit_n, budget_s)
+    if value != dk(p, k):
+        raise AssertionError("Greene-Kleitman violated: bug in dk or search")
+    return value, partition
 
 
 def min_joint_norm(p, k, l, limit_n=DEFAULT_LIMIT_N, budget_s=None):
     """Minimum m_k + m_l over all chain partitions, with one minimizer."""
     if not 1 <= k < l:
         raise BadK("need 1 <= k < l")
-    _check_limit(p, limit_n)
-    search = _NormSearch(p, (k, l), budget_s)
-    full = (1 << p.n) - 1
-    value = search.minimum(full)
-    return value, search.witness(full)
+    return _minimize(p, (k, l), limit_n, budget_s)
 
 
 def find_saturated(p, ks, limit_n=DEFAULT_LIMIT_N, budget_s=None):
@@ -236,42 +222,31 @@ def find_saturated(p, ks, limit_n=DEFAULT_LIMIT_N, budget_s=None):
     ks = sorted(set(ks))
     if not ks or ks[0] < 1:
         raise BadK("ks must be positive")
-    _check_limit(p, limit_n)
-    search = _NormSearch(p, ks, budget_s)
-    full = (1 << p.n) - 1
-    floor = sum(dk(p, k) for k in ks)
-    if search.minimum(full) != floor:
+    value, partition = _minimize(p, ks, limit_n, budget_s)
+    if value != sum(dk(p, k) for k in ks):
         return None
-    return search.witness(full)
+    return partition
 
 
 def is_polyunsaturated(p, limit_n=DEFAULT_LIMIT_N, budget_s=None):
     """Exhaustive per-pair verdicts for all nonconsecutive k < l < height.
 
-    Vacuously polyunsaturated when the height is below 4.
+    Vacuously polyunsaturated when the height is below 4.  budget_s bounds
+    the whole call, not each pair.
     """
     _check_limit(p, limit_n)
-    c = height(p)
-    pairs = [
-        (k, l) for k in range(1, c - 2) for l in range(k + 2, c)
-    ]
-
-    def verdict(pair):
-        k, l = pair
-        floor = dk(p, k) + dk(p, l)
-        value, partition = min_joint_norm(
-            p, k, l, limit_n=limit_n, budget_s=budget_s
-        )
-        if value == floor:
-            return Witness(partition)
-        return NoJointPartition(value)
-
-    threads = worker_threads()
-    if threads > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(verdict, pairs))
-    else:
-        results = [verdict(pair) for pair in pairs]
-    verdicts = dict(zip(pairs, results))
+    deadline = _deadline(budget_s)
+    d = d_sequence(p).d
+    verdicts = {}
+    for k in range(1, len(d) - 2):
+        for l in range(k + 2, len(d)):
+            left = None if deadline is None else deadline - time.monotonic()
+            value, partition = min_joint_norm(
+                p, k, l, limit_n=limit_n, budget_s=left
+            )
+            if value == d[k - 1] + d[l - 1]:
+                verdicts[(k, l)] = Witness(partition)
+            else:
+                verdicts[(k, l)] = NoJointPartition(value)
     conclusion = all(isinstance(v, NoJointPartition) for v in verdicts.values())
-    return PolyunsatReport(c=c, pair_verdicts=verdicts, conclusion=conclusion)
+    return PolyunsatReport(d=d, pair_verdicts=verdicts, conclusion=conclusion)

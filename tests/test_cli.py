@@ -1,11 +1,19 @@
 """CLI surface and the JSON/DOT interchange formats."""
 
 import json
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
 
-from polysat import antichain_poset, build_pj, chain_poset, disjoint_union
+from polysat import (
+    antichain_poset,
+    build_pj,
+    chain_poset,
+    disjoint_union,
+    kfamily,
+    saturation,
+)
 from polysat.cli import main
 from polysat.io import dumps, export_dot, loads
 
@@ -85,6 +93,35 @@ def test_construct_errors_exit_2(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args, stdin",
+    [
+        (["construct", "delta", "--b", "3,x"], None),
+        (["dk-table", "/nonexistent.json"], None),
+        (
+            ["dual", "-", "--table"],
+            '{"n": 3, "realizer": [[0, 1, 3], [0, 1, 2]]}',
+        ),
+        (["dk-table", "-"], '{"n": "3"}'),
+        (["dk-table", "-"], '{"n": 2, "covers": [[0]]}'),
+        (["dk-table", "-"], '{"n": 2, "names": "ab"}'),
+    ],
+    ids=[
+        "b-not-integers",
+        "missing-file",
+        "realizer-out-of-range",
+        "n-not-integer",
+        "cover-not-pair",
+        "names-not-list",
+    ],
+)
+def test_malformed_input_exits_2(runner, args, stdin):
+    # Exit 1 is a negative verdict, so an input fault must never produce it.
+    result = invoke(runner, args, stdin=stdin)
+    assert result.exit_code == 2
+    assert "error:" in result.output.lower()
+
+
 def test_dk_table_csv(runner):
     p2 = dumps(build_pj(2)[0])
     result = invoke(runner, ["dk-table", "-", "--csv"], stdin=p2)
@@ -115,6 +152,23 @@ def test_certify_negative(runner):
     assert result.exit_code == 1
     obj = json.loads(result.output)
     assert obj["polyunsaturated"] is False
+
+
+def test_certify_computes_each_dk_once(runner, monkeypatch):
+    calls = Counter()
+    real_dk = kfamily.dk
+
+    def counting_dk(p, k):
+        calls[k] += 1
+        return real_dk(p, k)
+
+    monkeypatch.setattr(kfamily, "dk", counting_dk)
+    monkeypatch.setattr(saturation, "dk", counting_dk)
+    p5 = dumps(build_pj(5)[0])
+    result = invoke(runner, ["certify", "-", "--limit-n", "24"], stdin=p5)
+    assert result.exit_code == 0
+    assert sorted(calls) == list(range(1, 8))
+    assert max(calls.values()) == 1
 
 
 def test_certify_respects_limit(runner):

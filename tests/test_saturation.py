@@ -1,7 +1,13 @@
 """k-norms, saturated partitions, and polyunsaturation verdicts."""
 
+import itertools
+import os
+import subprocess
+import sys
+
 import pytest
 
+import polysat
 from polysat import (
     ChainPartition,
     NoJointPartition,
@@ -22,13 +28,14 @@ from polysat import (
     min_joint_norm,
     min_norm,
     mk,
+    saturation,
 )
 from polysat.errors import (
     BudgetExceeded,
     PartitionMismatch,
     SizeLimitExceeded,
 )
-from polysat.poset import Chain
+from polysat.poset import Chain, Poset
 from util import random_poset, seeded
 
 
@@ -154,6 +161,14 @@ def test_find_saturated_negative_and_positive():
     assert is_k_saturated(p4, cp, 2) and is_k_saturated(p4, cp, 3)
 
 
+def test_witness_breaks_ties_toward_smaller_successors():
+    # The V order 0 < 1, 0 < 2 has two minimal partitions; the search
+    # keeps the first in index order, so CLI output is reproducible.
+    v = Poset(3, [0b110, 0, 0])
+    cp = find_saturated(v, {1, 2})
+    assert [c.elems for c in cp.chains] == [(0, 1), (2,)]
+
+
 def test_is_polyunsaturated_examples():
     report = is_polyunsaturated(build_pj(1)[0])
     assert report.conclusion and not report.pair_verdicts
@@ -240,3 +255,35 @@ def test_budget_and_size_limits():
         min_norm(big, 1)
     with pytest.raises(SizeLimitExceeded):
         min_norm(chain_poset(3), 1, limit_n=30)
+
+
+def test_budget_bounds_the_whole_certificate(monkeypatch):
+    # A clock that advances one second per read: each pair search of P_3
+    # reads it 68 times, so 100 s fits one pair but not all three.
+    clock = itertools.count()
+    monkeypatch.setattr(
+        saturation.time, "monotonic", lambda: float(next(clock))
+    )
+    p3, _ = build_pj(3)
+    min_joint_norm(p3, 1, 3, budget_s=100.0)
+    with pytest.raises(BudgetExceeded):
+        is_polyunsaturated(p3, budget_s=100.0)
+
+
+def test_min_norm_invariant_survives_optimize_flag():
+    code = (
+        "from polysat import build_pj, saturation\n"
+        "saturation.dk = lambda p, k: -1\n"
+        "saturation.min_norm(build_pj(2)[0], 1)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(polysat.__file__))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode != 0
+    assert "Greene-Kleitman violated" in result.stderr
