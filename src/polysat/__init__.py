@@ -33,7 +33,6 @@ from .kfamily import (
     d_sequence,
     delta_sequence,
     dk,
-    dk_oracle,
     is_strong_sperner,
 )
 from .poset import (

@@ -12,6 +12,14 @@ import json
 from .errors import BadParameters
 from .poset import Realizer, cover_relations, from_covers, ranks
 
+# Largest n the reader accepts.  A chain, whose relation is complete, is
+# the costliest poset to build: the transitivity check in Poset touches
+# every comparable pair with n-bit rows, so the build grows faster than
+# n^2.  Reading a chain took 0.54 s at n = 1000, 2.2 s at n = 2000 and
+# 14 s at n = 4000 (Python 3.11, one Xeon core); 2000 keeps the worst
+# build near two seconds.
+MAX_N = 2000
+
 
 def poset_to_obj(p):
     obj = {"n": p.n, "covers": [list(c) for c in cover_relations(p)]}
@@ -36,6 +44,8 @@ def poset_from_obj(obj):
     if not (isinstance(obj, dict) and _ints([obj.get("n")])):
         raise BadParameters("malformed poset JSON: need an integer n")
     n = obj["n"]
+    if n > MAX_N:
+        raise BadParameters(f"n={n} exceeds the reader's limit of {MAX_N}")
     covers = obj.get("covers", [])
     names = obj.get("names")
     realizer = obj.get("realizer")

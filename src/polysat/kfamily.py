@@ -1,19 +1,19 @@
-"""Exact maximum k-family sizes and difference sequences.
+"""Exact maximum k-family sizes and difference sequences, by min-cost flow.
 
-A k-family is a union of k antichains; by Mirsky's dual of Dilworth, a
-set is a k-family exactly when its induced height is at most k.  dk uses
-that characterization inside a branch-and-bound; dk_oracle maximizes over
-antichain unions directly and exists to cross-check dk.
+A k-family is a union of k antichains.  Greene-Kleitman duality ties its
+largest size d_k to e_f, the largest union of f disjoint chains:
+d_k = n - max_f (e_f - k f).  One successive-shortest-path min-cost flow
+on the split DAG yields every e_f, so the whole d sequence costs one flow
+run, polynomial in n.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
-from .errors import BadK, NotRanked, SizeLimitExceeded
-from .poset import bits, height, popcount, ranks
-
-ORACLE_LIMIT = 10
+from .errors import BadK, NotRanked
+from .poset import bits, chain_lengths, ranks
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,10 @@ class DSequence:
         deltas = [b - a for a, b in zip((0,) + self.d, self.d)]
         if any(a < b for a, b in zip(deltas, deltas[1:])):
             raise ValueError("d sequence must be concave")
+
+    def at(self, k):
+        """d_k for any k >= 1; d_k = d_c = n for k at or above the height."""
+        return self.d[min(k, len(self.d)) - 1]
 
     def delta(self):
         return DeltaSequence(
@@ -63,141 +67,105 @@ class DeltaSequence:
         return tuple(out)
 
 
-def _greedy_chain_cover(p):
-    """Partition into few chains by repeatedly peeling a longest chain."""
-    uncovered = (1 << p.n) - 1
-    chains = []
-    while uncovered:
-        best_len = [0] * p.n
-        prev = [-1] * p.n
-        top = -1
-        for y in bits(uncovered):
-            ln = 1
-            pr = -1
-            for x in bits(p.down[y] & uncovered):
-                if best_len[x] + 1 > ln:
-                    ln = best_len[x] + 1
-                    pr = x
-            best_len[y] = ln
-            prev[y] = pr
-            if top < 0 or ln > best_len[top]:
-                top = y
-        chain = []
-        x = top
-        while x >= 0:
-            chain.append(x)
-            x = prev[x]
-        chain.reverse()
-        chains.append(chain)
-        for x in chain:
-            uncovered &= ~(1 << x)
-    return chains
+def chain_unions(p):
+    """(e_0, e_1, ..., e_w): e_f is the size of a largest union of f
+    disjoint chains, up to the width w, where e_w = n.
 
-
-def _greedy_kfamily(p, k):
-    """Feasible incumbent: take elements in index order while height <= k."""
-    lens = [0] * p.n
-    mask = 0
-    count = 0
-    for y in range(p.n):
-        ln = 1
-        for x in bits(p.down[y] & mask):
-            if lens[x] + 1 > ln:
-                ln = lens[x] + 1
-        if ln <= k:
-            lens[y] = ln
-            mask |= 1 << y
-            count += 1
-    return count
-
-
-def dk(p, k):
-    """Size of a largest k-family, by branch-and-bound.
-
-    Prunes with the chain-cover bound: a height-<=k set meets any chain in
-    at most k elements.
+    Successive shortest paths on the split DAG: element x becomes an arc
+    x_in -> x_out of capacity 1 and cost -1; s -> x_in, x_out -> t and
+    x_out -> y_in for every x < y cost 0.  The relation is transitively
+    closed, so no pass-through arcs are needed.  The f-th augmenting path
+    costs -(e_f - e_{f-1}).  The residual arcs are read off the chains
+    found so far and the relation rows, so memory stays O(n).  Arcs into
+    s and out of t are left out: no shortest s-t path uses them.
     """
-    if k < 1:
-        raise BadK("k must be positive")
     n = p.n
-    if k >= height(p):
-        return n
-    chains = _greedy_chain_cover(p)
-    chain_of = [0] * n
-    for ci, chain in enumerate(chains):
-        for x in chain:
-            chain_of[x] = ci
-    rem = [len(c) for c in chains]
-    kept_in = [0] * len(chains)
-    lens = [0] * n
-    best = _greedy_kfamily(p, k)
-    kept_mask = 0
+    src, snk = 2 * n, 2 * n + 1
+    # Node 2x is x_in and 2x+1 is x_out.  prv[x] is the element before x
+    # on its chain, or src; nxt[x] the element after it, or snk; both are
+    # None while x is on no chain.
+    prv = [None] * n
+    nxt = [None] * n
 
-    def rec(i, kept):
-        nonlocal best, kept_mask
-        bound = kept
-        for ci, r in enumerate(rem):
-            cap = k - kept_in[ci]
-            if cap > 0:
-                bound += r if r < cap else cap
-        if bound <= best:
-            return
-        if i == n:
-            best = kept
-            return
-        ci = chain_of[i]
-        rem[ci] -= 1
-        ln = 1
-        for x in bits(p.down[i] & kept_mask):
-            if lens[x] + 1 > ln:
-                ln = lens[x] + 1
-        if ln <= k:
-            lens[i] = ln
-            kept_mask |= 1 << i
-            kept_in[ci] += 1
-            rec(i + 1, kept + 1)
-            kept_in[ci] -= 1
-            kept_mask &= ~(1 << i)
-        rec(i + 1, kept)
-        rem[ci] += 1
+    def arcs(u):
+        if u == src:
+            return [(2 * x, 0) for x in range(n) if prv[x] != src]
+        x = u >> 1
+        if not u & 1:
+            if prv[x] is None:
+                return [(u + 1, -1)]
+            return [] if prv[x] == src else [(2 * prv[x] + 1, 0)]
+        out = [] if prv[x] is None else [(u - 1, 1)]
+        out += [(2 * y, 0) for y in bits(p.up[x]) if y != nxt[x]]
+        if nxt[x] != snk:
+            out.append((snk, 0))
+        return out
 
-    rec(0, 0)
-    return best
-
-
-def dk_oracle(p, k):
-    """Slow independent oracle: best union of k antichains directly.
-
-    Runs a reachable-union DP over maximal antichains; every antichain
-    union is dominated by a union of maximal ones.
-    """
-    if p.n > ORACLE_LIMIT:
-        raise SizeLimitExceeded(f"oracle limited to n<={ORACLE_LIMIT}")
-    if k < 1:
-        raise BadK("k must be positive")
-    antichains = []
-    full = (1 << p.n) - 1
-    for mask in range(1, full + 1):
-        if any(p.up[x] & mask for x in bits(mask)):
-            continue
-        antichains.append(mask)
-    maximal = [
-        a
-        for a in antichains
-        if not any(b != a and b & a == a for b in antichains)
-    ]
-    frontier = {0}
-    for _ in range(k):
-        unions = {u | a for u in frontier for a in maximal}
-        frontier = {
-            u for u in unions if not any(v != u and v | u == v for v in unions)
-        }
-    return max(popcount(u) for u in frontier)
+    # Initial potentials: shortest distances from s, found in one pass in
+    # topological order, since the network is a DAG with negative costs.
+    # With h[x] the longest chain ending at x, x_in lies at 1 - h[x],
+    # x_out at -h[x] and t at minus the height.
+    h = chain_lengths(p)
+    pot = [v for x in range(n) for v in (1 - h[x], -h[x])] + [0, -max(h)]
+    e = [0]
+    while True:
+        dist = {src: 0}
+        via = {}
+        heap = [(0, src)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u] or u == snk:
+                continue
+            for v, cost in arcs(u):
+                dv = d + cost + pot[u] - pot[v]
+                if v not in dist or dv < dist[v]:
+                    dist[v] = dv
+                    via[v] = u
+                    heapq.heappush(heap, (dv, v))
+        for v, dv in dist.items():
+            pot[v] += dv
+        if snk not in dist or pot[snk] >= 0:
+            return tuple(e)
+        e.append(e[-1] - pot[snk])
+        # Walk the path back from t.  prv[x] is set by the arc entering
+        # x_in and nxt[x] by the arc leaving x_out; an arc x_out -> x_in
+        # takes x off its chain, and arcs leaving an in-node set nothing.
+        v = snk
+        while v != src:
+            u = via[v]
+            if u == src:
+                prv[v >> 1] = src
+            elif v == snk:
+                nxt[u >> 1] = snk
+            elif u & 1 and not v & 1:
+                x, y = u >> 1, v >> 1
+                if x == y:
+                    prv[x] = nxt[x] = None
+                else:
+                    nxt[x], prv[y] = y, x
+            v = u
 
 
 def d_sequence(p):
-    h = height(p)
-    return DSequence(tuple(dk(p, k) for k in range(1, h + 1)))
+    """d_k = n - max_f (e_f - k f) for k = 1..height, from one flow run.
+
+    Greene-Kleitman duality (Greene 1976, JCTA 20:69; Frank 1980, JCTB
+    29:176); the height is e_1.
+    """
+    e = chain_unions(p)
+    return DSequence(
+        tuple(
+            p.n - max(ef - k * f for f, ef in enumerate(e))
+            for k in range(1, e[1] + 1)
+        )
+    )
+
+
+def dk(p, k):
+    """Size of a largest k-family; n for every k at or above the height."""
+    if k < 1:
+        raise BadK("k must be positive")
+    return d_sequence(p).at(k)
 
 
 def delta_sequence(p):
@@ -210,9 +178,10 @@ def is_strong_sperner(p):
     if classes is None:
         raise NotRanked("poset has no consistent rank function")
     sizes = sorted((len(c) for c in classes), reverse=True)
+    seq = d_sequence(p)
     acc = 0
     for k, size in enumerate(sizes, start=1):
         acc += size
-        if acc != dk(p, k):
+        if acc != seq.at(k):
             return False
     return True

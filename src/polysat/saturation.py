@@ -223,7 +223,8 @@ def find_saturated(p, ks, limit_n=DEFAULT_LIMIT_N, budget_s=None):
     if not ks or ks[0] < 1:
         raise BadK("ks must be positive")
     value, partition = _minimize(p, ks, limit_n, budget_s)
-    if value != sum(dk(p, k) for k in ks):
+    d = d_sequence(p)
+    if value != sum(d.at(k) for k in ks):
         return None
     return partition
 

@@ -1,0 +1,144 @@
+"""Slow independent oracles for d_k, used only to cross-check the library.
+
+dk_branch_and_bound searches height-<=k subsets (a k-family is a union of
+k antichains; by Mirsky's dual of Dilworth, a set is a k-family exactly
+when its induced height is at most k).  dk_oracle maximizes over unions of
+maximal antichains directly.
+"""
+
+from polysat.errors import BadK, SizeLimitExceeded
+from polysat.poset import bits, height, popcount
+
+ORACLE_LIMIT = 10
+
+
+def _greedy_chain_cover(p):
+    """Partition into few chains by repeatedly peeling a longest chain."""
+    uncovered = (1 << p.n) - 1
+    chains = []
+    while uncovered:
+        best_len = [0] * p.n
+        prev = [-1] * p.n
+        top = -1
+        for y in bits(uncovered):
+            ln = 1
+            pr = -1
+            for x in bits(p.down[y] & uncovered):
+                if best_len[x] + 1 > ln:
+                    ln = best_len[x] + 1
+                    pr = x
+            best_len[y] = ln
+            prev[y] = pr
+            if top < 0 or ln > best_len[top]:
+                top = y
+        chain = []
+        x = top
+        while x >= 0:
+            chain.append(x)
+            x = prev[x]
+        chain.reverse()
+        chains.append(chain)
+        for x in chain:
+            uncovered &= ~(1 << x)
+    return chains
+
+
+def _greedy_kfamily(p, k):
+    """Feasible incumbent: take elements in index order while height <= k."""
+    lens = [0] * p.n
+    mask = 0
+    count = 0
+    for y in range(p.n):
+        ln = 1
+        for x in bits(p.down[y] & mask):
+            if lens[x] + 1 > ln:
+                ln = lens[x] + 1
+        if ln <= k:
+            lens[y] = ln
+            mask |= 1 << y
+            count += 1
+    return count
+
+
+def dk_branch_and_bound(p, k):
+    """Size of a largest k-family, by branch-and-bound.
+
+    Prunes with the chain-cover bound: a height-<=k set meets any chain in
+    at most k elements.
+    """
+    if k < 1:
+        raise BadK("k must be positive")
+    n = p.n
+    if k >= height(p):
+        return n
+    chains = _greedy_chain_cover(p)
+    chain_of = [0] * n
+    for ci, chain in enumerate(chains):
+        for x in chain:
+            chain_of[x] = ci
+    rem = [len(c) for c in chains]
+    kept_in = [0] * len(chains)
+    lens = [0] * n
+    best = _greedy_kfamily(p, k)
+    kept_mask = 0
+
+    def rec(i, kept):
+        nonlocal best, kept_mask
+        bound = kept
+        for ci, r in enumerate(rem):
+            cap = k - kept_in[ci]
+            if cap > 0:
+                bound += r if r < cap else cap
+        if bound <= best:
+            return
+        if i == n:
+            best = kept
+            return
+        ci = chain_of[i]
+        rem[ci] -= 1
+        ln = 1
+        for x in bits(p.down[i] & kept_mask):
+            if lens[x] + 1 > ln:
+                ln = lens[x] + 1
+        if ln <= k:
+            lens[i] = ln
+            kept_mask |= 1 << i
+            kept_in[ci] += 1
+            rec(i + 1, kept + 1)
+            kept_in[ci] -= 1
+            kept_mask &= ~(1 << i)
+        rec(i + 1, kept)
+        rem[ci] += 1
+
+    rec(0, 0)
+    return best
+
+
+def dk_oracle(p, k):
+    """Best union of k antichains directly.
+
+    Runs a reachable-union DP over maximal antichains; every antichain
+    union is dominated by a union of maximal ones.
+    """
+    if p.n > ORACLE_LIMIT:
+        raise SizeLimitExceeded(f"oracle limited to n<={ORACLE_LIMIT}")
+    if k < 1:
+        raise BadK("k must be positive")
+    antichains = []
+    full = (1 << p.n) - 1
+    for mask in range(1, full + 1):
+        if any(p.up[x] & mask for x in bits(mask)):
+            continue
+        antichains.append(mask)
+    maximal = [
+        a
+        for a in antichains
+        if not any(b != a and b & a == a for b in antichains)
+    ]
+    frontier = {0}
+    for _ in range(k):
+        unions = {u | a for u in frontier for a in maximal}
+        frontier = {
+            u for u in unions if not any(v != u and v | u == v for v in unions)
+        }
+    return max(popcount(u) for u in frontier)

@@ -15,7 +15,6 @@ from polysat import (
     conjugate,
     delta_sequence,
     dk,
-    dk_oracle,
     enumerate_posets,
     feasible_dual_nac,
     feasible_nca,
@@ -31,6 +30,7 @@ from polysat import (
     verify_realizer,
     width,
 )
+from oracles import dk_oracle
 from test_construct import all_valid_deltas
 from test_graphdual import dim2_samples
 

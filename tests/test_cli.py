@@ -1,7 +1,7 @@
 """CLI surface and the JSON/DOT interchange formats."""
 
 import json
-from collections import Counter
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -12,7 +12,6 @@ from polysat import (
     chain_poset,
     disjoint_union,
     kfamily,
-    saturation,
 )
 from polysat.cli import main
 from polysat.io import dumps, export_dot, loads
@@ -122,6 +121,14 @@ def test_malformed_input_exits_2(runner, args, stdin):
     assert "error:" in result.output.lower()
 
 
+def test_huge_n_is_refused_before_any_allocation(runner):
+    start = time.perf_counter()
+    result = invoke(runner, ["dk-table", "-"], stdin='{"n": 100000000}')
+    assert result.exit_code == 2
+    assert "error:" in result.output.lower()
+    assert time.perf_counter() - start < 1.0
+
+
 def test_dk_table_csv(runner):
     p2 = dumps(build_pj(2)[0])
     result = invoke(runner, ["dk-table", "-", "--csv"], stdin=p2)
@@ -154,21 +161,19 @@ def test_certify_negative(runner):
     assert obj["polyunsaturated"] is False
 
 
-def test_certify_computes_each_dk_once(runner, monkeypatch):
-    calls = Counter()
-    real_dk = kfamily.dk
+def test_certify_runs_the_flow_once(runner, monkeypatch):
+    calls = []
+    real = kfamily.chain_unions
 
-    def counting_dk(p, k):
-        calls[k] += 1
-        return real_dk(p, k)
+    def counting(p):
+        calls.append(p.n)
+        return real(p)
 
-    monkeypatch.setattr(kfamily, "dk", counting_dk)
-    monkeypatch.setattr(saturation, "dk", counting_dk)
+    monkeypatch.setattr(kfamily, "chain_unions", counting)
     p5 = dumps(build_pj(5)[0])
     result = invoke(runner, ["certify", "-", "--limit-n", "24"], stdin=p5)
     assert result.exit_code == 0
-    assert sorted(calls) == list(range(1, 8))
-    assert max(calls.values()) == 1
+    assert calls == [21]
 
 
 def test_certify_respects_limit(runner):

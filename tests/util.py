@@ -5,17 +5,21 @@ import random
 from polysat.poset import Poset, bits
 
 
-def random_poset(rng, n, prob=0.3):
-    """A random n-element poset in topological indexing."""
+def closed_poset(n, pairs):
+    """The n-element poset generated by pairs (x, y) with x < y."""
     up = [0] * n
-    for x in range(n):
-        for y in range(x + 1, n):
-            if rng.random() < prob:
-                up[x] |= 1 << y
+    for x, y in pairs:
+        up[x] |= 1 << y
     for x in range(n - 1, -1, -1):
         for y in bits(up[x]):
             up[x] |= up[y]
     return Poset(n, up)
+
+
+def random_poset(rng, n, prob=0.3):
+    """A random n-element poset in topological indexing."""
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    return closed_poset(n, [pair for pair in pairs if rng.random() < prob])
 
 
 def seeded(seed=0):
