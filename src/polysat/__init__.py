@@ -36,7 +36,6 @@ from .kfamily import (
     is_strong_sperner,
 )
 from .poset import (
-    Antichain,
     Chain,
     Poset,
     Realizer,
@@ -57,7 +56,6 @@ from .saturation import (
     NoJointPartition,
     PolyunsatReport,
     Witness,
-    enumerate_chain_partitions,
     find_saturated,
     is_k_saturated,
     is_polyunsaturated,

@@ -11,10 +11,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadK, BadParameters, Infeasible, InvalidDelta
+from .io import check_size
 from .kfamily import DeltaSequence
 from .poset import (
     Chain,
-    Poset,
     Realizer,
     chain_poset,
     disjoint_union,
@@ -54,6 +54,7 @@ def build_pj(j):
     """The j-th tower poset with labels: width j, height j+2, n=C(j+2,2)."""
     if j < 1:
         raise BadParameters("j must be positive")
+    check_size(math.comb(j + 2, 2))
     covers = []
     names = []
     q_blocks = []
@@ -77,21 +78,18 @@ def build_pj(j):
         s_raw.append(block[-2])
         r_raw.append(block[-1])
         q_blocks.append(block)
-    p, mapping = from_covers(len(names), covers, names=names)
+    # The two linear extensions certifying dimension <= 2, in input
+    # labels: the blocks T_i s_i r_i in turn, then T_j .. T_1, every s_i
+    # and the r_i backwards.
+    ext2 = [x for block in reversed(t_raw) for x in block]
+    ext2 += s_raw + r_raw[::-1]
+    realizer = Realizer(tuple(range(len(names))), tuple(ext2))
+    p, mapping = from_covers(len(names), covers, names, realizer)
     s = tuple(mapping[x] for x in s_raw)
     r = tuple(mapping[x] for x in r_raw)
     T = tuple(frozenset(mapping[x] for x in block) for block in t_raw)
     Q = tuple(frozenset(mapping[x] for x in block) for block in q_blocks)
     labels = PjLabels(u=mapping[0], s=s, r=r, T=T, Q=Q)
-    # The two explicit linear extensions certifying dimension <= 2.
-    ext1 = []
-    for i in range(j):
-        ext1 += sorted(T[i]) + [s[i], r[i]]
-    ext2 = []
-    for i in reversed(range(j)):
-        ext2 += sorted(T[i])
-    ext2 += list(s) + list(reversed(r))
-    p.realizer = Realizer(tuple(ext1), tuple(ext2))
     if p.n != math.comb(j + 2, 2) or (height(p), width(p)) != (j + 2, j):
         raise AssertionError(f"P_{j} has the wrong size, height or width")
     return p, labels
@@ -138,20 +136,6 @@ def upper_bounds(c, a):
     )
 
 
-def _validate_delta(b):
-    c = len(b)
-    if c < 1 or any(x < 1 for x in b):
-        raise InvalidDelta("entries must be positive")
-    if any(x < y for x, y in zip(b, b[1:])):
-        raise InvalidDelta("sequence must be nonincreasing")
-    for i in range(1, c - 2):
-        if b[i] <= b[i + 1]:
-            raise InvalidDelta(
-                f"interior entries must strictly decrease: b_{i + 1}={b[i]}"
-                f" vs b_{i + 2}={b[i + 1]}"
-            )
-
-
 def _conjugate_partition(b):
     """Column counts of the Ferrers diagram of b."""
     return [sum(1 for x in b if x >= m) for m in range(1, b[0] + 1)]
@@ -160,28 +144,37 @@ def _conjugate_partition(b):
 def from_delta(b):
     """A polyunsaturated dimension-<=2 poset with the given delta sequence.
 
-    Recursion: at the lower-bound base case return the tower poset;
-    otherwise peel a chain of t elements, where t is the last position
-    still above its lower bound.  Heights below 3 are disjoint chains
-    sized by the conjugate partition.
+    While b is above its lower bounds, peel a chain of t elements, where
+    t is the last position still above its lower bound; the result is
+    the tower poset of the lower bounds joined with the peeled chains,
+    the last peeled first.  Heights below 3 are disjoint chains sized by
+    the conjugate partition.
     """
-    if isinstance(b, DeltaSequence):
-        b = b.b
-    b = tuple(b)
-    _validate_delta(b)
+    if not isinstance(b, DeltaSequence):
+        b = DeltaSequence(tuple(b))
+    b = b.b
+    for i in range(1, len(b) - 2):
+        if b[i] <= b[i + 1]:
+            raise InvalidDelta(
+                f"interior entries must strictly decrease: b_{i + 1}={b[i]}"
+                f" vs b_{i + 2}={b[i + 1]}"
+            )
+    check_size(sum(b))
     c = len(b)
     if c < 3:
         sizes = _conjugate_partition(b)
-        p = chain_poset(sizes[0])
-        for t in sizes[1:]:
-            p = disjoint_union(p, chain_poset(t))
-        return p
-    lower = lower_bounds(c).b
-    if sum(b) == math.comb(c, 2):
-        return build_pj(c - 2)[0]
-    t = max(i for i in range(c) if b[i] > lower[i]) + 1
-    shrunk = tuple(x - 1 if i < t else x for i, x in enumerate(b))
-    return disjoint_union(from_delta(shrunk), chain_poset(t))
+        p, chains = chain_poset(sizes[0]), sizes[1:]
+    else:
+        lower = lower_bounds(c).b
+        chains = []
+        while sum(b) > math.comb(c, 2):
+            t = max(i for i in range(c) if b[i] > lower[i]) + 1
+            b = tuple(x - 1 if i < t else x for i, x in enumerate(b))
+            chains.insert(0, t)
+        p = build_pj(c - 2)[0]
+    for t in chains:
+        p = disjoint_union(p, chain_poset(t))
+    return p
 
 
 def feasible_nca(n, c, a):
@@ -245,6 +238,7 @@ def feasible_nc(n, c):
 
 def realize_nca(n, c, a):
     """Convenience: sequence_for followed by from_delta, sanity-checked."""
+    check_size(n)
     p = from_delta(sequence_for(n, c, a))
     if not (p.n == n and height(p) == c and width(p) == a):
         raise AssertionError(f"realization misses (n={n}, c={c}, a={a})")

@@ -41,7 +41,7 @@ class BadParameters(PolysatError):
     """Numeric parameters violate a precondition."""
 
 
-class InvalidDelta(PolysatError):
+class InvalidDelta(PolysatError, ValueError):
     """A difference sequence is not realizable by a polyunsaturated poset."""
 
 

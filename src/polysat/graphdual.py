@@ -9,7 +9,6 @@ antichain-partition (coloring) saturation duals.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import BadK, BadParameters, InvalidRealizer, SizeLimitExceeded
@@ -17,7 +16,6 @@ from .poset import Poset, Realizer, bits, popcount
 from .saturation import DEFAULT_LIMIT_N, is_polyunsaturated
 
 ALPHA_LIMIT = 16
-ORIENT_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -190,31 +188,3 @@ def feasible_dual_nac(n, a, c):
     if a < 3:
         raise BadParameters("need a >= 3")
     return feasible_nca(n, c=a, a=c)
-
-
-def is_comparability(g):
-    """Brute-force transitive-orientation search; test helper only."""
-    if g.n > ORIENT_LIMIT:
-        raise SizeLimitExceeded(f"orientation search limited to n<={ORIENT_LIMIT}")
-    edges = [
-        (x, y) for x in range(g.n) for y in bits(g.adj[x]) if x < y
-    ]
-    if not edges:
-        return True
-    for choice in itertools.product((0, 1), repeat=len(edges)):
-        lt = [[False] * g.n for _ in range(g.n)]
-        for (x, y), flip in zip(edges, choice):
-            if flip:
-                x, y = y, x
-            lt[x][y] = True
-        ok = True
-        for x in range(g.n):
-            for y in range(g.n):
-                if not lt[x][y]:
-                    continue
-                for z in range(g.n):
-                    if lt[y][z] and not lt[x][z]:
-                        ok = False
-        if ok:
-            return True
-    return False

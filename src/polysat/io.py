@@ -21,6 +21,12 @@ from .poset import Realizer, cover_relations, from_covers, ranks
 MAX_N = 2000
 
 
+def check_size(n):
+    """Refuse a poset of n elements above MAX_N, before it is built."""
+    if n > MAX_N:
+        raise BadParameters(f"n={n} exceeds the limit of {MAX_N}")
+
+
 def poset_to_obj(p):
     obj = {"n": p.n, "covers": [list(c) for c in cover_relations(p)]}
     if p.names is not None:
@@ -44,28 +50,27 @@ def poset_from_obj(obj):
     if not (isinstance(obj, dict) and _ints([obj.get("n")])):
         raise BadParameters("malformed poset JSON: need an integer n")
     n = obj["n"]
-    if n > MAX_N:
-        raise BadParameters(f"n={n} exceeds the reader's limit of {MAX_N}")
+    check_size(n)
     covers = obj.get("covers", [])
     names = obj.get("names")
     realizer = obj.get("realizer")
     if not (isinstance(covers, list) and all(_ints(c, 2) for c in covers)):
         raise BadParameters("covers must be a list of [x, y] integer pairs")
-    if names is not None and not (isinstance(names, list) and len(names) == n):
-        raise BadParameters("names must be a list with one entry per element")
-    if realizer is not None and not (
-        isinstance(realizer, list)
-        and len(realizer) == 2
-        and all(_ints(e) and sorted(e) == list(range(n)) for e in realizer)
+    if names is not None and not (
+        isinstance(names, list)
+        and len(names) == n
+        and all(isinstance(x, str) for x in names)
     ):
-        raise BadParameters(f"realizer must be two permutations of 0..{n - 1}")
-    p, mapping = from_covers(n, [tuple(c) for c in covers], names=names)
+        raise BadParameters("names must be a list of n strings")
     if realizer is not None:
-        ext1, ext2 = realizer
-        p.realizer = Realizer(
-            tuple(mapping[x] for x in ext1), tuple(mapping[x] for x in ext2)
-        )
-    return p
+        if not (
+            isinstance(realizer, list)
+            and len(realizer) == 2
+            and all(_ints(e) for e in realizer)
+        ):
+            raise BadParameters("realizer must be two lists of integers")
+        realizer = Realizer(*map(tuple, realizer))
+    return from_covers(n, covers, names, realizer)[0]
 
 
 def dumps(p):
@@ -75,7 +80,9 @@ def dumps(p):
 def loads(text):
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers with too many
+        # digits; RecursionError comes from deeply nested arrays.
         raise BadParameters(f"invalid JSON: {exc}") from None
     return poset_from_obj(obj)
 
@@ -84,7 +91,8 @@ def export_dot(p):
     """DOT digraph of the cover relations, rank-aligned when ranked."""
     lines = ["digraph poset {", "  rankdir=BT;"]
     for x in range(p.n):
-        lines.append(f'  v{x} [label="{p.name(x)}"];')
+        label = p.name(x).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  v{x} [label="{label}"];')
     for x, y in cover_relations(p):
         lines.append(f"  v{x} -> v{y};")
     classes = ranks(p)

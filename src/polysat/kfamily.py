@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import BadK, NotRanked
+from .errors import BadK, InvalidDelta, NotRanked
 from .poset import bits, chain_lengths, ranks
 
 
@@ -47,24 +47,13 @@ class DeltaSequence:
 
     def __post_init__(self):
         if not self.b or any(x < 1 for x in self.b):
-            raise ValueError("entries must be positive")
+            raise InvalidDelta("entries must be positive")
         if any(a > b for a, b in zip(self.b[1:], self.b[:-1])):
-            raise ValueError("sequence must be nonincreasing")
+            raise InvalidDelta("sequence must be nonincreasing")
 
     @property
     def c(self):
         return len(self.b)
-
-    def total(self):
-        return sum(self.b)
-
-    def partial_sums(self):
-        out = []
-        acc = 0
-        for x in self.b:
-            acc += x
-            out.append(acc)
-        return tuple(out)
 
 
 def chain_unions(p):
@@ -150,15 +139,19 @@ def d_sequence(p):
     """d_k = n - max_f (e_f - k f) for k = 1..height, from one flow run.
 
     Greene-Kleitman duality (Greene 1976, JCTA 20:69; Frank 1980, JCTB
-    29:176); the height is e_1.
+    29:176); the height is e_1.  The flow runs once per Poset instance;
+    later calls read the sequence it kept in p.derived.
     """
-    e = chain_unions(p)
-    return DSequence(
-        tuple(
-            p.n - max(ef - k * f for f, ef in enumerate(e))
-            for k in range(1, e[1] + 1)
+    seq = p.derived.get("d")
+    if seq is None:
+        e = chain_unions(p)
+        seq = p.derived["d"] = DSequence(
+            tuple(
+                p.n - max(ef - k * f for f, ef in enumerate(e))
+                for k in range(1, e[1] + 1)
+            )
         )
-    )
+    return seq
 
 
 def dk(p, k):

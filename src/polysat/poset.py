@@ -16,6 +16,7 @@ from .errors import (
     CycleDetected,
     EmptyPoset,
     IndexOutOfRange,
+    InvalidRealizer,
     SizeLimitExceeded,
 )
 
@@ -49,9 +50,13 @@ class Poset:
     up[x] is the bitmask of elements strictly above x; down[x] the mask of
     elements strictly below.  Construction validates irreflexivity,
     antisymmetry, transitivity, and the topological-indexing invariant.
+    names and realizer are given at construction and, like the order,
+    never change; equality and hashing look at the order only.  derived
+    holds values computed from the order on first use, such as the d
+    sequence, so each is computed once per instance.
     """
 
-    __slots__ = ("n", "up", "down", "names", "realizer")
+    __slots__ = ("n", "up", "down", "names", "realizer", "derived")
 
     def __init__(self, n, up, names=None, realizer=None):
         if n < 1:
@@ -75,11 +80,21 @@ class Poset:
             for y in bits(up[x]):
                 if up[y] & ~up[x]:
                     raise ValueError("relation is not transitive")
-        self.n = n
-        self.up = up
-        self.down = tuple(down)
-        self.names = tuple(names) if names is not None else None
-        self.realizer = realizer
+        # __setattr__ refuses every assignment, so the slots are filled
+        # through object's.
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "up", up)
+        init(self, "down", tuple(down))
+        init(self, "names", tuple(names) if names is not None else None)
+        init(self, "realizer", realizer)
+        init(self, "derived", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Poset is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("a Poset is immutable")
 
     def less(self, x, y):
         return bool(self.up[x] >> y & 1)
@@ -127,25 +142,21 @@ class Chain:
         return m
 
 
-@dataclass(frozen=True)
-class Antichain:
-    elems: frozenset
-
-    def is_valid(self, p):
-        return not any(
-            p.comparable(x, y)
-            for x, y in itertools.combinations(self.elems, 2)
-        )
-
-
-def from_covers(n, covers, names=None):
+def from_covers(n, covers, names=None, realizer=None):
     """Close an acyclic cover list and relabel topologically.
 
-    Returns (poset, mapping) where mapping[i] is the internal index of
-    input element i.
+    names and realizer are in input labels and are relabelled with the
+    order.  Returns (poset, mapping) where mapping[i] is the internal
+    index of input element i.
     """
     if n < 1:
         raise EmptyPoset("poset needs at least one element")
+    if realizer is not None and not (
+        sorted(realizer.ext1) == sorted(realizer.ext2) == list(range(n))
+    ):
+        raise InvalidRealizer(
+            f"realizer must be two permutations of 0..{n - 1}"
+        )
     succs = [set() for _ in range(n)]
     indeg = [0] * n
     for x, y in covers:
@@ -177,8 +188,14 @@ def from_covers(n, covers, names=None):
         for y in succs[x]:
             m |= (1 << mapping[y]) | up[mapping[y]]
         up[mapping[x]] = m
-    new_names = [names[x] for x in order] if names is not None else None
-    return Poset(n, up, names=new_names), mapping
+    if names is not None:
+        names = [names[x] for x in order]
+    if realizer is not None:
+        realizer = Realizer(
+            tuple(mapping[x] for x in realizer.ext1),
+            tuple(mapping[x] for x in realizer.ext2),
+        )
+    return Poset(n, up, names=names, realizer=realizer), mapping
 
 
 def cover_relations(p):
@@ -224,19 +241,6 @@ def width(p):
 
     matching = sum(augment(x, [0]) for x in range(p.n))
     return p.n - matching
-
-
-def width_bruteforce(p, limit=20):
-    """Independent check: maximum antichain by subset enumeration."""
-    if p.n > limit:
-        raise SizeLimitExceeded(f"brute-force width limited to n<={limit}")
-    best = 0
-    for mask in range(1, 1 << p.n):
-        if popcount(mask) <= best:
-            continue
-        if all(not (p.up[x] & mask) for x in bits(mask)):
-            best = popcount(mask)
-    return best
 
 
 def disjoint_union(p, q):

@@ -85,37 +85,6 @@ def is_k_saturated(p, cp, k):
     return mk(cp, k) == dk(p, k)
 
 
-def enumerate_chain_partitions(p, limit_n=DEFAULT_LIMIT_N):
-    """Every chain partition exactly once, deterministically.
-
-    Branches on the lowest-index uncovered element; its chain extends only
-    upward in index, which is sound under topological indexing.
-    """
-    if p.n > limit_n:
-        raise SizeLimitExceeded(f"partition enumeration limited to n<={limit_n}")
-    chains = []
-
-    def rec(uncovered):
-        if not uncovered:
-            yield ChainPartition(p, tuple(Chain(tuple(c)) for c in chains))
-            return
-        i = (uncovered & -uncovered).bit_length() - 1
-        rest = uncovered & ~(1 << i)
-        chain = [i]
-        chains.append(chain)
-        yield from _extend(chain, i, rest)
-        chains.pop()
-
-    def _extend(chain, top, rest):
-        yield from rec(rest)
-        for j in bits(p.up[top] & rest):
-            chain.append(j)
-            yield from _extend(chain, j, rest & ~(1 << j))
-            chain.pop()
-
-    yield from rec((1 << p.n) - 1)
-
-
 class _NormSearch:
     """Exact minimizer of sum_{k in ks} m_k over all chain partitions."""
 
@@ -169,7 +138,9 @@ class _NormSearch:
         return ChainPartition(self.p, tuple(chains))
 
 
-def _check_limit(p, limit_n):
+def _start(p, limit_n, budget_s):
+    """Refuse p above the search limit; else the deadline of a search of
+    budget_s seconds starting now, or None for no budget."""
     if limit_n > HARD_LIMIT_N:
         raise SizeLimitExceeded(
             f"subset search refuses limits above n={HARD_LIMIT_N}"
@@ -178,16 +149,12 @@ def _check_limit(p, limit_n):
         raise SizeLimitExceeded(
             f"n={p.n} exceeds the search limit {limit_n}; raise --limit-n"
         )
-
-
-def _deadline(budget_s):
     return None if budget_s is None else time.monotonic() + budget_s
 
 
-def _minimize(p, ks, limit_n, budget_s):
+def _minimize(p, ks, deadline):
     """Minimum of sum_{k in ks} m_k, with one minimizing partition."""
-    _check_limit(p, limit_n)
-    search = _NormSearch(p, ks, _deadline(budget_s))
+    search = _NormSearch(p, ks, deadline)
     full = (1 << p.n) - 1
     return search.minimum(full), search.witness(full)
 
@@ -200,7 +167,7 @@ def min_norm(p, k, limit_n=DEFAULT_LIMIT_N, budget_s=None):
     """
     if k < 1:
         raise BadK("k must be positive")
-    value, partition = _minimize(p, (k,), limit_n, budget_s)
+    value, partition = _minimize(p, (k,), _start(p, limit_n, budget_s))
     if value != dk(p, k):
         raise AssertionError("Greene-Kleitman violated: bug in dk or search")
     return value, partition
@@ -210,7 +177,7 @@ def min_joint_norm(p, k, l, limit_n=DEFAULT_LIMIT_N, budget_s=None):
     """Minimum m_k + m_l over all chain partitions, with one minimizer."""
     if not 1 <= k < l:
         raise BadK("need 1 <= k < l")
-    return _minimize(p, (k, l), limit_n, budget_s)
+    return _minimize(p, (k, l), _start(p, limit_n, budget_s))
 
 
 def find_saturated(p, ks, limit_n=DEFAULT_LIMIT_N, budget_s=None):
@@ -222,7 +189,7 @@ def find_saturated(p, ks, limit_n=DEFAULT_LIMIT_N, budget_s=None):
     ks = sorted(set(ks))
     if not ks or ks[0] < 1:
         raise BadK("ks must be positive")
-    value, partition = _minimize(p, ks, limit_n, budget_s)
+    value, partition = _minimize(p, ks, _start(p, limit_n, budget_s))
     d = d_sequence(p)
     if value != sum(d.at(k) for k in ks):
         return None
@@ -235,16 +202,12 @@ def is_polyunsaturated(p, limit_n=DEFAULT_LIMIT_N, budget_s=None):
     Vacuously polyunsaturated when the height is below 4.  budget_s bounds
     the whole call, not each pair.
     """
-    _check_limit(p, limit_n)
-    deadline = _deadline(budget_s)
+    deadline = _start(p, limit_n, budget_s)
     d = d_sequence(p).d
     verdicts = {}
     for k in range(1, len(d) - 2):
         for l in range(k + 2, len(d)):
-            left = None if deadline is None else deadline - time.monotonic()
-            value, partition = min_joint_norm(
-                p, k, l, limit_n=limit_n, budget_s=left
-            )
+            value, partition = _minimize(p, (k, l), deadline)
             if value == d[k - 1] + d[l - 1]:
                 verdicts[(k, l)] = Witness(partition)
             else:

@@ -1,15 +1,21 @@
-"""Slow independent oracles for d_k, used only to cross-check the library.
+"""Slow independent oracles, used only to cross-check the library.
 
 dk_branch_and_bound searches height-<=k subsets (a k-family is a union of
 k antichains; by Mirsky's dual of Dilworth, a set is a k-family exactly
 when its induced height is at most k).  dk_oracle maximizes over unions of
-maximal antichains directly.
+maximal antichains directly.  width_bruteforce, enumerate_chain_partitions
+and is_comparability check width, the minimum-norm searches and the
+conjugate's graph by exhaustive enumeration.
 """
 
+import itertools
+
 from polysat.errors import BadK, SizeLimitExceeded
-from polysat.poset import bits, height, popcount
+from polysat.poset import Chain, bits, height, popcount
+from polysat.saturation import DEFAULT_LIMIT_N, ChainPartition
 
 ORACLE_LIMIT = 10
+ORIENT_LIMIT = 8
 
 
 def _greedy_chain_cover(p):
@@ -142,3 +148,79 @@ def dk_oracle(p, k):
             u for u in unions if not any(v != u and v | u == v for v in unions)
         }
     return max(popcount(u) for u in frontier)
+
+
+def width_bruteforce(p, limit=20):
+    """Independent check: maximum antichain by subset enumeration."""
+    if p.n > limit:
+        raise SizeLimitExceeded(f"brute-force width limited to n<={limit}")
+    best = 0
+    for mask in range(1, 1 << p.n):
+        if popcount(mask) <= best:
+            continue
+        if all(not (p.up[x] & mask) for x in bits(mask)):
+            best = popcount(mask)
+    return best
+
+
+def enumerate_chain_partitions(p, limit_n=DEFAULT_LIMIT_N):
+    """Every chain partition exactly once, deterministically.
+
+    Branches on the lowest-index uncovered element; its chain extends only
+    upward in index, which is sound under topological indexing.
+    """
+    if p.n > limit_n:
+        raise SizeLimitExceeded(
+            f"partition enumeration limited to n<={limit_n}"
+        )
+    chains = []
+
+    def rec(uncovered):
+        if not uncovered:
+            yield ChainPartition(p, tuple(Chain(tuple(c)) for c in chains))
+            return
+        i = (uncovered & -uncovered).bit_length() - 1
+        rest = uncovered & ~(1 << i)
+        chain = [i]
+        chains.append(chain)
+        yield from _extend(chain, i, rest)
+        chains.pop()
+
+    def _extend(chain, top, rest):
+        yield from rec(rest)
+        for j in bits(p.up[top] & rest):
+            chain.append(j)
+            yield from _extend(chain, j, rest & ~(1 << j))
+            chain.pop()
+
+    yield from rec((1 << p.n) - 1)
+
+
+def is_comparability(g):
+    """Brute-force transitive-orientation search; test helper only."""
+    if g.n > ORIENT_LIMIT:
+        raise SizeLimitExceeded(
+            f"orientation search limited to n<={ORIENT_LIMIT}"
+        )
+    edges = [
+        (x, y) for x in range(g.n) for y in bits(g.adj[x]) if x < y
+    ]
+    if not edges:
+        return True
+    for choice in itertools.product((0, 1), repeat=len(edges)):
+        lt = [[False] * g.n for _ in range(g.n)]
+        for (x, y), flip in zip(edges, choice):
+            if flip:
+                x, y = y, x
+            lt[x][y] = True
+        ok = True
+        for x in range(g.n):
+            for y in range(g.n):
+                if not lt[x][y]:
+                    continue
+                for z in range(g.n):
+                    if lt[y][z] and not lt[x][z]:
+                        ok = False
+        if ok:
+            return True
+    return False

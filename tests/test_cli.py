@@ -5,6 +5,8 @@ import time
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysat import (
     antichain_poset,
@@ -14,7 +16,7 @@ from polysat import (
     kfamily,
 )
 from polysat.cli import main
-from polysat.io import dumps, export_dot, loads
+from polysat.io import MAX_N, dumps, export_dot, loads
 
 
 @pytest.fixture
@@ -56,6 +58,8 @@ def test_export_dot_examples():
     assert dot.count("->") == 2
     for label in ("u", "s1", "r1"):
         assert f'label="{label}"' in dot
+    dot = export_dot(chain_poset(2, names=['a"b', "c\\d"]))
+    assert 'label="a\\"b"' in dot and 'label="c\\\\d"' in dot
 
 
 def test_construct_pj(runner):
@@ -104,6 +108,9 @@ def test_construct_errors_exit_2(runner):
         (["dk-table", "-"], '{"n": "3"}'),
         (["dk-table", "-"], '{"n": 2, "covers": [[0]]}'),
         (["dk-table", "-"], '{"n": 2, "names": "ab"}'),
+        (["dk-table", "-"], '{"n": 3, "names": [[1], 2, null]}'),
+        (["dk-table", "-"], "[" * 200000),
+        (["dk-table", "-"], '{"n": ' + "9" * 5000 + "}"),
     ],
     ids=[
         "b-not-integers",
@@ -112,6 +119,9 @@ def test_construct_errors_exit_2(runner):
         "n-not-integer",
         "cover-not-pair",
         "names-not-list",
+        "names-not-strings",
+        "deeply-nested",
+        "n-too-many-digits",
     ],
 )
 def test_malformed_input_exits_2(runner, args, stdin):
@@ -121,9 +131,96 @@ def test_malformed_input_exits_2(runner, args, stdin):
     assert "error:" in result.output.lower()
 
 
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, MAX_N + 1)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@st.composite
+def poset_objects(draw):
+    """Valid poset objects, some with one field or entry made junk."""
+    n = draw(st.integers(1, 7))
+    index = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=8))
+    obj = {"n": n, "covers": [sorted(c) for c in pairs if c[0] != c[1]]}
+    if draw(st.booleans()):
+        obj["names"] = draw(
+            st.lists(st.text(max_size=2), min_size=n, max_size=n)
+        )
+    if draw(st.booleans()):
+        obj["realizer"] = draw(
+            st.lists(st.permutations(range(n)), min_size=2, max_size=2)
+        )
+    if draw(st.integers(0, 2)) == 0:
+        key = draw(st.sampled_from(["n", "covers", "names", "realizer"]))
+        junk = draw(json_values)
+        if key != "n" and obj.get(key) and draw(st.booleans()):
+            obj[key][draw(st.integers(0, len(obj[key]) - 1))] = junk
+        else:
+            obj[key] = junk
+    return obj
+
+
+@st.composite
+def poset_texts(draw):
+    """JSON text of a poset object or of junk, sometimes cut short."""
+    junk = draw(st.integers(0, 3)) == 0
+    text = json.dumps(draw(json_values if junk else poset_objects()))
+    if draw(st.integers(0, 3)) == 0:
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@settings(deadline=None, max_examples=100)
+@given(poset_texts())
+def test_any_input_exits_0_1_or_2_and_1_only_for_a_verdict(text):
+    runner = CliRunner()
+    for command in ("dk-table", "certify"):
+        result = invoke(runner, [command, "-"], stdin=text)
+        assert result.exit_code in (0, 1, 2)
+        if result.exit_code == 1:
+            assert command == "certify"
+            assert json.loads(result.stdout)["polyunsaturated"] is False
+
+
 def test_huge_n_is_refused_before_any_allocation(runner):
     start = time.perf_counter()
     result = invoke(runner, ["dk-table", "-"], stdin='{"n": 100000000}')
+    assert result.exit_code == 2
+    assert "error:" in result.output.lower()
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["pj", "--j", "62"],
+        ["pj", "--j", "1000000000"],
+        ["delta", "--b", "2001"],
+        ["delta", "--b", "1000000000000,1"],
+        ["nca", "--n", "5000", "--c", "10", "--a", "600"],
+        ["nca", "--n", "1000000000000", "--c", "1000", "--a", "2000000000"],
+    ],
+    ids=[
+        "pj-62",
+        "pj-huge",
+        "delta-2001",
+        "delta-huge",
+        "nca-5000",
+        "nca-huge",
+    ],
+)
+def test_constructions_above_max_n_are_refused_at_once(runner, args):
+    # Each of these is larger than the JSON reader accepts.
+    start = time.perf_counter()
+    result = invoke(runner, ["construct", *args])
     assert result.exit_code == 2
     assert "error:" in result.output.lower()
     assert time.perf_counter() - start < 1.0

@@ -24,7 +24,7 @@ from polysat import (
     verify_realizer,
 )
 from polysat.errors import BadParameters, InvalidRealizer
-from polysat.graphdual import is_comparability
+from oracles import is_comparability
 from util import random_poset, seeded
 
 

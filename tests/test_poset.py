@@ -20,9 +20,11 @@ from polysat.errors import (
     CycleDetected,
     EmptyPoset,
     IndexOutOfRange,
+    InvalidRealizer,
     SizeLimitExceeded,
 )
-from polysat.poset import Poset, width_bruteforce
+from polysat.poset import Poset, Realizer
+from oracles import width_bruteforce
 from util import random_poset, seeded
 
 
@@ -51,9 +53,40 @@ def test_from_covers_bad_index():
 
 
 def test_from_covers_relabels_topologically():
-    p, mapping = from_covers(3, [(2, 1), (1, 0)])
+    p, mapping = from_covers(
+        3,
+        [(2, 1), (1, 0)],
+        names=["c", "b", "a"],
+        realizer=Realizer((2, 1, 0), (2, 0, 1)),
+    )
     assert mapping[2] < mapping[1] < mapping[0]
     assert height(p) == 3
+    assert p.names == ("a", "b", "c")
+    assert p.realizer == Realizer((0, 1, 2), (0, 2, 1))
+
+
+def test_from_covers_range_checks_the_realizer():
+    for ext in ((0, 2), (0, 0), (0,), (0, 1, 2)):
+        with pytest.raises(InvalidRealizer):
+            from_covers(2, [], realizer=Realizer((0, 1), ext))
+
+
+def test_poset_is_immutable():
+    p, _ = from_covers(2, [(0, 1)], names=["a", "b"])
+    for attr, value in (
+        ("n", 3),
+        ("up", (0, 0)),
+        ("names", None),
+        ("realizer", Realizer((0, 1), (0, 1))),
+        ("other", 1),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(p, attr, value)
+    with pytest.raises(AttributeError):
+        del p.names
+    assert (p.n, p.up, p.names, p.realizer) == (2, (2, 0), ("a", "b"), None)
+    # Equality and hashing look at the order only.
+    assert p == chain_poset(2) and hash(p) == hash(chain_poset(2))
 
 
 def test_cover_relations_examples():

@@ -19,12 +19,12 @@ from polysat import (
     delta_sequence,
     disjoint_union,
     dk,
-    enumerate_chain_partitions,
     enumerate_posets,
     find_saturated,
     height,
     is_k_saturated,
     is_polyunsaturated,
+    kfamily,
     min_joint_norm,
     min_norm,
     mk,
@@ -36,6 +36,7 @@ from polysat.errors import (
     SizeLimitExceeded,
 )
 from polysat.poset import Chain, Poset
+from oracles import enumerate_chain_partitions
 from util import random_poset, seeded
 
 
@@ -75,6 +76,28 @@ def test_is_k_saturated_examples():
     assert not is_k_saturated(p, singletons(p), 1)
     with pytest.raises(PartitionMismatch):
         is_k_saturated(chain_poset(4), singletons(p), 1)
+
+
+def test_d_sequence_runs_the_flow_once_per_poset(monkeypatch):
+    calls = []
+    real = kfamily.chain_unions
+
+    def counting(p):
+        calls.append(p.n)
+        return real(p)
+
+    monkeypatch.setattr(kfamily, "chain_unions", counting)
+    ck_partition(4, 2)
+    assert calls == [15]
+    p, _ = build_pj(3)
+    for k in range(1, 7):
+        is_k_saturated(p, singletons(p), k)
+    assert calls == [15, 10]
+    # An equal poset built on its own is another instance: it runs the
+    # flow itself rather than reading a result kept for p.
+    q, _ = build_pj(3)
+    assert q == p and is_k_saturated(q, singletons(q), 5)
+    assert calls == [15, 10, 10]
 
 
 def test_enumerate_chain_partitions_counts():
