@@ -34,6 +34,7 @@ from .kfamily import (
     delta_sequence,
     dk,
     is_strong_sperner,
+    max_kfamily,
 )
 from .poset import (
     Chain,

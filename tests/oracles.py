@@ -5,14 +5,23 @@ k antichains; by Mirsky's dual of Dilworth, a set is a k-family exactly
 when its induced height is at most k).  dk_oracle maximizes over unions of
 maximal antichains directly.  width_bruteforce, enumerate_chain_partitions
 and is_comparability check width, the minimum-norm searches and the
-conjugate's graph by exhaustive enumeration.
+conjugate's graph by exhaustive enumeration.  dp_minimize is the
+single-objective subset DP, and is_polyunsaturated_per_pair runs it once
+per pair, as certify did before it searched by orthogonality.
 """
 
 import itertools
 
 from polysat.errors import BadK, SizeLimitExceeded
 from polysat.poset import Chain, bits, height, popcount
-from polysat.saturation import DEFAULT_LIMIT_N, ChainPartition
+from polysat.kfamily import d_sequence
+from polysat.saturation import (
+    DEFAULT_LIMIT_N,
+    ChainPartition,
+    NoJointPartition,
+    PolyunsatReport,
+    Witness,
+)
 
 ORACLE_LIMIT = 10
 ORIENT_LIMIT = 8
@@ -224,3 +233,93 @@ def is_comparability(g):
         if ok:
             return True
     return False
+
+
+class _DPSearch:
+    """Exact minimizer of sum_{k in ks} m_k over all chain partitions.
+
+    Branches on the chain through the lowest uncovered element, smaller
+    successors first, and memoises the minimum per uncovered mask.  walks
+    caches the chains of each mask; DPs on one poset may share it.
+    """
+
+    def __init__(self, p, ks, walks):
+        self.p = p
+        self.contrib = [sum(min(k, s) for k in ks) for s in range(p.n + 1)]
+        self.memo = {0: 0}
+        self.walks = walks
+
+    def chains(self, mask):
+        out = self.walks.get(mask)
+        if out is not None:
+            return out
+        up = self.p.up
+        i = (mask & -mask).bit_length() - 1
+        out = self.walks[mask] = []
+        stack = [(i, mask & ~(1 << i), 1)]
+        while stack:
+            top, rest, size = stack.pop()
+            out.append((size, rest))
+            succ = up[top] & rest
+            while succ:
+                j = succ.bit_length() - 1
+                succ &= ~(1 << j)
+                stack.append((j, rest & ~(1 << j), size + 1))
+        return out
+
+    def minimum(self, mask):
+        value = self.memo.get(mask)
+        if value is None:
+            value = min(
+                self.contrib[size] + self.minimum(rest)
+                for size, rest in self.chains(mask)
+            )
+            self.memo[mask] = value
+        return value
+
+    def witness(self, mask):
+        chains = []
+        while mask:
+            target = self.minimum(mask)
+            rest = next(
+                rest
+                for size, rest in self.chains(mask)
+                if self.contrib[size] + self.minimum(rest) == target
+            )
+            chains.append(Chain(tuple(bits(mask & ~rest))))
+            mask = rest
+        return ChainPartition(self.p, tuple(chains))
+
+
+def dp_minimize(p, ks, walks=None):
+    """(minimum of sum_{k in ks} m_k, the first minimizing partition in
+    walk order), by one subset DP."""
+    search = _DPSearch(p, ks, {} if walks is None else walks)
+    full = (1 << p.n) - 1
+    return search.minimum(full), search.witness(full)
+
+
+def find_saturated_dp(p, ks):
+    """A partition saturated for every k in ks, or None, by the DP."""
+    ks = sorted(set(ks))
+    value, partition = dp_minimize(p, ks)
+    d = d_sequence(p)
+    return partition if value == sum(d.at(k) for k in ks) else None
+
+
+def is_polyunsaturated_per_pair(p):
+    """The polyunsaturation report from one subset DP per pair."""
+    d = d_sequence(p).d
+    verdicts = {}
+    walks = {}
+    for k in range(1, len(d) - 2):
+        for l in range(k + 2, len(d)):
+            value, partition = dp_minimize(p, (k, l), walks)
+            if value == d[k - 1] + d[l - 1]:
+                verdicts[(k, l)] = Witness(partition)
+            else:
+                verdicts[(k, l)] = NoJointPartition(value)
+    conclusion = all(
+        isinstance(v, NoJointPartition) for v in verdicts.values()
+    )
+    return PolyunsatReport(d=d, pair_verdicts=verdicts, conclusion=conclusion)

@@ -1,5 +1,6 @@
 """CLI surface and the JSON/DOT interchange formats."""
 
+import itertools
 import json
 import time
 
@@ -14,6 +15,7 @@ from polysat import (
     chain_poset,
     disjoint_union,
     kfamily,
+    saturation,
 )
 from polysat.cli import main
 from polysat.io import MAX_N, dumps, export_dot, loads
@@ -277,6 +279,48 @@ def test_certify_respects_limit(runner):
     p = dumps(antichain_poset(5))
     result = invoke(runner, ["certify", "-", "--limit-n", "4"], stdin=p)
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("budget", ["nan", "-1"])
+def test_budget_must_be_a_nonnegative_number(runner, budget):
+    p3 = dumps(build_pj(3)[0])
+    args = ["certify", "-", "--budget-seconds", budget]
+    result = invoke(runner, args, stdin=p3)
+    assert result.exit_code == 2
+    assert result.stdout == "" and "budget must be" in result.stderr
+    # 0 and inf are budgets: a certificate with no pairs needs no time,
+    # and an unbounded one runs to its verdict.
+    args[-1] = "0.0"
+    result = invoke(runner, args, stdin=dumps(chain_poset(3)))
+    assert result.exit_code == 0
+    args[-1] = "inf"
+    assert invoke(runner, args, stdin=p3).exit_code == 0
+
+
+def test_budget_exceeded_names_phase_pair_and_states(runner, monkeypatch):
+    p3 = dumps(build_pj(3)[0])
+    result = invoke(
+        runner, ["certify", "-", "--budget-seconds", "0"], stdin=p3
+    )
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr == (
+        "error: orthogonal search for pair (1, 3) ran past its time budget"
+        " after 1 states\n"
+    )
+    # A clock that advances one second per read: the three pair searches
+    # of P_3 fit in 30 s, the shared DP after them does not.
+    clock = itertools.count()
+    monkeypatch.setattr(
+        saturation.time, "monotonic", lambda: float(next(clock))
+    )
+    result = invoke(
+        runner, ["certify", "-", "--budget-seconds", "30"], stdin=p3
+    )
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr == (
+        "error: shared DP over 3 refuted pairs ran past its time budget"
+        " after 31 states\n"
+    )
 
 
 def test_saturate(runner):

@@ -2,7 +2,6 @@
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from polysat import (
     DeltaSequence,
@@ -22,9 +21,9 @@ from polysat import (
     width,
 )
 from polysat.errors import NotRanked
-from polysat.kfamily import chain_unions
+from polysat.kfamily import chain_unions, max_kfamily
 from oracles import dk_branch_and_bound, dk_oracle
-from util import closed_poset, random_poset, seeded
+from util import posets, random_poset, seeded
 
 
 def tower_delta(j):
@@ -44,20 +43,29 @@ def greene_conjugate(d, n):
     )
 
 
+def longest_chain_within(p, mask):
+    longest = {}
+    for y in range(p.n):
+        if mask >> y & 1:
+            below = [longest[x] for x in longest if p.less(x, y)]
+            longest[y] = 1 + max(below, default=0)
+    return max(longest.values(), default=0)
+
+
+def assert_kfamilies_certify_d(p):
+    """Each A_k from the flow's dual has d_k elements and no k+1 chain,
+    so it certifies d_k from below as the flow does from above."""
+    d = d_sequence(p).d
+    for k in range(1, len(d) + 1):
+        family = max_kfamily(p, k)
+        assert family.bit_count() == d[k - 1]
+        assert longest_chain_within(p, family) <= k
+
+
 def assert_flow_matches_branch_and_bound(p):
     d = branch_and_bound_sequence(p)
     assert d_sequence(p).d == d
     assert chain_unions(p) == greene_conjugate(d, p.n)
-
-
-@st.composite
-def posets(draw, max_n=12):
-    n = draw(st.integers(1, max_n))
-    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
-    keep = draw(
-        st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))
-    )
-    return closed_poset(n, [pair for pair, kept in zip(pairs, keep) if kept])
 
 
 def test_dk_chain():
@@ -108,6 +116,33 @@ def test_flow_matches_branch_and_bound_on_random_posets():
             assert_flow_matches_branch_and_bound(random_poset(rng, n, prob))
 
 
+def test_kfamilies_certify_d_on_small_and_random_posets():
+    for n in range(1, 7):
+        for p in enumerate_posets(n):
+            assert_kfamilies_certify_d(p)
+    rng = seeded(14)
+    for n in range(1, 21):
+        for prob in (0.1, 0.2, 0.3, 0.5):
+            assert_kfamilies_certify_d(random_poset(rng, n, prob))
+
+
+@pytest.mark.parametrize("j", range(8, 13))
+def test_kfamilies_certify_d_on_towers(j):
+    # n = 45..91: no oracle reaches these, the two certificates do.
+    p = build_pj(j)[0]
+    assert_kfamilies_certify_d(p)
+    assert delta_sequence(p).b == tower_delta(j)
+
+
+def test_max_kfamily_raises_when_its_check_fails():
+    p = build_pj(3)[0]
+    d_sequence(p)
+    # With no chains kept, every element would join A_1.
+    p.derived["chains"] = dict.fromkeys(p.derived["chains"], ())
+    with pytest.raises(AssertionError, match="wrong size"):
+        max_kfamily(p, 1)
+
+
 def test_flow_reroutes_a_chain_around_an_element():
     # Some augmenting path here must take an element off its chain:
     # without that residual arc the flow reads e = (0, 4, 7, 10, 11).
@@ -119,7 +154,7 @@ def test_flow_reroutes_a_chain_around_an_element():
 
 
 @settings(deadline=None)
-@given(posets())
+@given(posets(max_n=12))
 def test_flow_agrees_with_branch_and_bound_property(p):
     d = d_sequence(p).d
     assert d == branch_and_bound_sequence(p)
@@ -149,7 +184,9 @@ def test_tower_delta_sequences_beyond_branch_and_bound_reach():
     ],
 )
 def test_from_delta_round_trip_on_long_sequences(b):
-    assert delta_sequence(from_delta(b)).b == b
+    p = from_delta(b)
+    assert delta_sequence(p).b == b
+    assert_kfamilies_certify_d(p)
 
 
 def test_d_sequence_shape():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
 
 import polysat
 from polysat import (
@@ -21,6 +22,7 @@ from polysat import (
     dk,
     enumerate_posets,
     find_saturated,
+    from_delta,
     height,
     is_k_saturated,
     is_polyunsaturated,
@@ -31,13 +33,20 @@ from polysat import (
     saturation,
 )
 from polysat.errors import (
+    BadParameters,
     BudgetExceeded,
     PartitionMismatch,
     SizeLimitExceeded,
 )
+from polysat.graphdual import conjugate
 from polysat.poset import Chain, Poset
-from oracles import enumerate_chain_partitions
-from util import random_poset, seeded
+from polysat.saturation import DEFAULT_LIMIT_N
+from oracles import (
+    enumerate_chain_partitions,
+    find_saturated_dp,
+    is_polyunsaturated_per_pair,
+)
+from util import posets, random_poset, seeded
 
 
 def singletons(p):
@@ -203,6 +212,78 @@ def test_is_polyunsaturated_examples():
     assert isinstance(report.pair_verdicts[(1, 3)], Witness)
 
 
+def assert_matches_per_pair_dp(p, limit_n=DEFAULT_LIMIT_N):
+    # Reports compare the d sequence, every verdict with its witness
+    # chains or minimum joint norm, and the conclusion.
+    assert is_polyunsaturated(p, limit_n=limit_n) == (
+        is_polyunsaturated_per_pair(p)
+    )
+
+
+def test_certify_matches_per_pair_dp_on_all_small_posets():
+    for n in range(1, 7):
+        for p in enumerate_posets(n):
+            assert_matches_per_pair_dp(p)
+
+
+def test_certify_matches_per_pair_dp_on_random_posets():
+    rng = seeded(31)
+    densities = (0.1, 0.15, 0.2, 0.25, 0.3)
+    for i in range(200):
+        assert_matches_per_pair_dp(
+            random_poset(rng, 8 + i % 8, densities[i % len(densities)])
+        )
+
+
+@pytest.mark.parametrize(
+    "b", [(5, 5, 3, 2, 1, 1), (6, 5, 4, 1, 1), (5, 4, 3, 2, 1)]
+)
+def test_certify_matches_per_pair_dp_on_conjugates(b):
+    assert_matches_per_pair_dp(conjugate(from_delta(b)), limit_n=24)
+
+
+@settings(deadline=None, max_examples=60)
+@given(posets(max_n=10))
+def test_certify_matches_per_pair_dp_property(p):
+    assert_matches_per_pair_dp(p)
+
+
+def test_find_saturated_matches_dp_oracle():
+    rng = seeded(32)
+    cases = [p for n in range(1, 6) for p in enumerate_posets(n)]
+    cases += [random_poset(rng, rng.randint(6, 11)) for _ in range(30)]
+    for p in cases:
+        c = height(p)
+        for ks in itertools.chain(
+            itertools.combinations(range(1, c + 1), 1),
+            itertools.combinations(range(1, c + 1), 2),
+        ):
+            assert find_saturated(p, ks) == find_saturated_dp(p, ks)
+
+
+def test_conjugate_certificate_stays_within_its_state_count(monkeypatch):
+    # The per-pair DP expands 11,216 masks for each of this poset's six
+    # pairs; the orthogonal searches settle all six, each with a witness.
+    searches = []
+
+    class Counting(saturation._NormSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(saturation, "_NormSearch", Counting)
+    q = conjugate(from_delta((6, 5, 4, 1, 1)))
+    report = is_polyunsaturated(q, limit_n=24)
+    assert not report.conclusion and len(report.pair_verdicts) == 6
+    assert sum(search.states for search in searches) < 5000
+
+
+def test_budget_must_be_a_nonnegative_number():
+    for budget in (float("nan"), -1.0):
+        with pytest.raises(BadParameters):
+            find_saturated(chain_poset(3), {1}, budget_s=budget)
+
+
 def test_no_joint_partition_gap():
     report = is_polyunsaturated(build_pj(2)[0])
     verdict = report.pair_verdicts[(1, 3)]
@@ -281,16 +362,18 @@ def test_budget_and_size_limits():
 
 
 def test_budget_bounds_the_whole_certificate(monkeypatch):
-    # A clock that advances one second per read: each pair search of P_3
-    # reads it 68 times, so 100 s fits one pair but not all three.
+    # A clock that advances one second per read, once per search state:
+    # a min_joint_norm of P_3 reads it 68 times, and the certificate 86
+    # times (18 orthogonal states over three pairs, then 67 in the shared
+    # DP), so 75 s fits one DP but not the DP after the pair searches.
     clock = itertools.count()
     monkeypatch.setattr(
         saturation.time, "monotonic", lambda: float(next(clock))
     )
     p3, _ = build_pj(3)
-    min_joint_norm(p3, 1, 3, budget_s=100.0)
+    min_joint_norm(p3, 1, 3, budget_s=75.0)
     with pytest.raises(BudgetExceeded):
-        is_polyunsaturated(p3, budget_s=100.0)
+        is_polyunsaturated(p3, budget_s=75.0)
 
 
 def test_min_norm_invariant_survives_optimize_flag():

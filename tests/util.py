@@ -2,6 +2,8 @@
 
 import random
 
+from hypothesis import strategies as st
+
 from polysat.poset import Poset, bits
 
 
@@ -24,3 +26,14 @@ def random_poset(rng, n, prob=0.3):
 
 def seeded(seed=0):
     return random.Random(seed)
+
+
+@st.composite
+def posets(draw, max_n):
+    """Hypothesis strategy: posets with up to max_n elements."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    keep = draw(
+        st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))
+    )
+    return closed_poset(n, [pair for pair, kept in zip(pairs, keep) if kept])
