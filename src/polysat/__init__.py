@@ -1,69 +1,96 @@
 """Exact tools for maximum k-families, saturated chain partitions, and
-polyunsaturated posets of prescribed height, width, and cardinality."""
+polyunsaturated posets of prescribed height, width, and cardinality.
 
-from .construct import (
-    FeasibilityVerdict,
-    PjLabels,
-    build_pj,
-    ck_partition,
-    feasible_ca,
-    feasible_nc,
-    feasible_nca,
-    from_delta,
-    lower_bounds,
-    realize_nca,
-    sequence_for,
-    upper_bounds,
-)
-from .graphdual import (
-    Graph,
-    alpha_k,
-    comparability_graph,
-    complement,
-    conjugate,
-    feasible_dual_nac,
-    is_co_polyunsaturated,
-    omega_k,
-    pj_realizer,
-    verify_realizer,
-)
-from .kfamily import (
-    DeltaSequence,
-    DSequence,
-    d_sequence,
-    delta_sequence,
-    dk,
-    is_strong_sperner,
-    max_kfamily,
-)
-from .poset import (
-    Chain,
-    Poset,
-    Realizer,
-    antichain_poset,
-    chain_poset,
-    cover_relations,
-    disjoint_union,
-    enumerate_posets,
-    from_covers,
-    height,
-    induced,
-    isomorphic,
-    ranks,
-    width,
-)
-from .saturation import (
-    ChainPartition,
-    NoJointPartition,
-    PolyunsatReport,
-    Witness,
-    find_saturated,
-    is_k_saturated,
-    is_polyunsaturated,
-    min_joint_norm,
-    min_norm,
-    mk,
-)
+The public names load on first use (PEP 562), so importing the package,
+or one module of it, compiles only the modules that are used.
+"""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+import importlib
+
+# Public name -> the module that defines it.
+_ORIGIN = {
+    name: module
+    for module, names in {
+        "construct": (
+            "FeasibilityVerdict",
+            "PjLabels",
+            "build_pj",
+            "ck_partition",
+            "feasible_ca",
+            "feasible_nc",
+            "feasible_nca",
+            "from_delta",
+            "lower_bounds",
+            "realize_nca",
+            "sequence_for",
+            "upper_bounds",
+        ),
+        "graphdual": (
+            "Graph",
+            "alpha_k",
+            "comparability_graph",
+            "complement",
+            "conjugate",
+            "feasible_dual_nac",
+            "is_co_polyunsaturated",
+            "omega_k",
+            "pj_realizer",
+            "verify_realizer",
+        ),
+        "kfamily": (
+            "DeltaSequence",
+            "DSequence",
+            "d_sequence",
+            "delta_sequence",
+            "dk",
+            "is_strong_sperner",
+            "max_kfamily",
+        ),
+        "poset": (
+            "Chain",
+            "Poset",
+            "Realizer",
+            "antichain_poset",
+            "chain_poset",
+            "cover_relations",
+            "disjoint_union",
+            "enumerate_posets",
+            "from_covers",
+            "height",
+            "ranks",
+            "width",
+        ),
+        "saturation": (
+            "ChainPartition",
+            "NoJointPartition",
+            "PolyunsatReport",
+            "Witness",
+            "find_saturated",
+            "is_k_saturated",
+            "is_polyunsaturated",
+            "min_joint_norm",
+            "min_norm",
+            "mk",
+        ),
+    }.items()
+    for name in names
+}
+
+# The public names and the modules, as an eager import of them all would
+# list them.
+__all__ = sorted({*_ORIGIN, *_ORIGIN.values(), "errors", "io"})
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _ORIGIN:
+        module = importlib.import_module(f"{__name__}.{_ORIGIN[name]}")
+        value = globals()[name] = getattr(module, name)
+        return value
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

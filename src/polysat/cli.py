@@ -2,32 +2,24 @@
 
 Exit codes: 0 success / positive verdict, 1 negative verdict, 2 usage or
 limit errors.  JSON is the single interchange format; DOT is export-only.
+
+The parser is the standard library's argparse, and each command imports
+the modules it runs when it runs, so a process loads only what its
+command needs: `dk-table` reads no search or construction code.  Search
+options left unset are left out of the call, so the library's defaults
+apply.
 """
 
-from __future__ import annotations
-
-import json
+import argparse
+import functools
 import sys
 
-import click
-
-from . import construct as con
-from . import graphdual, io, kfamily, poset, saturation
-from .errors import PolysatError
-
-
-class _Group(click.Group):
-    """Maps every PolysatError of a subcommand to a message and exit 2."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except PolysatError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
+from .errors import BadParameters, PolysatError
 
 
 def _read_poset(source):
+    from . import io
+
     try:
         if source == "-":
             text = sys.stdin.read()
@@ -39,56 +31,50 @@ def _read_poset(source):
     return io.loads(text)
 
 
-def _int_list(ctx, param, value):
+def _int_list(value):
     try:
         return tuple(int(x) for x in value.split(","))
     except ValueError:
-        raise click.BadParameter("expected comma-separated integers") from None
+        raise argparse.ArgumentTypeError(
+            "expected comma-separated integers"
+        ) from None
+
+
+def _realizer(spec):
+    from .poset import Realizer
+
+    one, _, two = spec.partition("/")
+    return Realizer(_int_list(one), _int_list(two))
 
 
 def _emit_poset(p, dot):
-    click.echo(io.export_dot(p) if dot else io.dumps(p), nl=False)
+    from . import io
+
+    sys.stdout.write(io.export_dot(p) if dot else io.dumps(p))
 
 
-@click.group(cls=_Group)
-def main():
-    """Exact computations on finite posets: maximum k-families, saturated
-    chain partitions, and polyunsaturated constructions."""
-
-
-@main.group("construct")
-def construct_group():
-    """Build named posets and emit them as JSON (or DOT)."""
-
-
-@construct_group.command("pj")
-@click.option("--j", "j", type=int, required=True, help="Tower index j >= 1.")
-@click.option("--dot", is_flag=True, help="Emit DOT instead of JSON.")
 def construct_pj(j, dot):
-    p, _ = con.build_pj(j)
-    _emit_poset(p, dot)
+    from .construct import build_pj
+
+    _emit_poset(build_pj(j)[0], dot)
 
 
-@construct_group.command("delta")
-@click.option(
-    "--b", required=True, callback=_int_list, help="Comma-separated sequence."
-)
-@click.option("--dot", is_flag=True)
 def construct_delta(b, dot):
-    _emit_poset(con.from_delta(b), dot)
+    from .construct import from_delta
+
+    _emit_poset(from_delta(b), dot)
 
 
-@construct_group.command("nca")
-@click.option("--n", "n", type=int, required=True)
-@click.option("--c", "c", type=int, required=True)
-@click.option("--a", "a", type=int, required=True)
-@click.option("--dot", is_flag=True)
 def construct_nca(n, c, a, dot):
-    _emit_poset(con.realize_nca(n, c, a), dot)
+    from .construct import realize_nca
+
+    _emit_poset(realize_nca(n, c, a), dot)
 
 
 def _dk_table_lines(p, csv):
-    seq = kfamily.d_sequence(p)
+    from .kfamily import d_sequence
+
+    seq = d_sequence(p)
     delta = seq.delta()
     if csv:
         yield "k,d_k,delta_d_k"
@@ -100,21 +86,22 @@ def _dk_table_lines(p, csv):
             yield f"{k:>3} {d:>5} {b:>6}"
 
 
-@main.command("dk-table")
-@click.argument("input", default="-")
-@click.option("--csv", is_flag=True)
 def dk_table(input, csv):
     p = _read_poset(input)
     for line in _dk_table_lines(p, csv):
-        click.echo(line)
+        print(line)
 
 
 def _print_report(report):
     """Print a certificate report as JSON and exit 0 iff polyunsaturated."""
+    import json
+
+    from .saturation import NoJointPartition
+
     pairs = []
     for (k, l), verdict in sorted(report.pair_verdicts.items()):
         entry = {"k": k, "l": l}
-        if isinstance(verdict, saturation.NoJointPartition):
+        if isinstance(verdict, NoJointPartition):
             entry["verdict"] = "no_joint_partition"
             entry["min_joint_norm"] = verdict.min_joint_norm
             entry["dk_plus_dl"] = report.d[k - 1] + report.d[l - 1]
@@ -129,128 +116,235 @@ def _print_report(report):
         "polyunsaturated": report.conclusion,
         "pairs": pairs,
     }
-    click.echo(json.dumps(obj, sort_keys=True))
+    print(json.dumps(obj, sort_keys=True))
     sys.exit(0 if report.conclusion else 1)
 
 
-@main.command("certify")
-@click.argument("input", default="-")
-@click.option("--limit-n", type=int, default=saturation.DEFAULT_LIMIT_N)
-@click.option(
-    "--budget-seconds", type=float, default=saturation.DEFAULT_BUDGET_S
-)
-def certify(input, limit_n, budget_seconds):
+def certify(input, **limits):
+    from .saturation import is_polyunsaturated
+
     p = _read_poset(input)
-    report = saturation.is_polyunsaturated(
-        p, limit_n=limit_n, budget_s=budget_seconds
-    )
-    _print_report(report)
+    _print_report(is_polyunsaturated(p, **limits))
 
 
-@main.command("saturate")
-@click.argument("input", default="-")
-@click.option(
-    "--ks", required=True, callback=_int_list, help="Comma-separated k values."
-)
-@click.option("--limit-n", type=int, default=saturation.DEFAULT_LIMIT_N)
-@click.option(
-    "--budget-seconds", type=float, default=saturation.DEFAULT_BUDGET_S
-)
-def saturate(input, ks, limit_n, budget_seconds):
+def saturate(input, ks, **limits):
+    import json
+
+    from .saturation import find_saturated
+
     p = _read_poset(input)
     targets = sorted(ks)
-    cp = saturation.find_saturated(
-        p, targets, limit_n=limit_n, budget_s=budget_seconds
-    )
+    cp = find_saturated(p, targets, **limits)
+    partition = None if cp is None else [list(c.elems) for c in cp.chains]
+    print(json.dumps({"saturated_for": targets, "partition": partition}))
     if cp is None:
-        click.echo(json.dumps({"saturated_for": targets, "partition": None}))
         sys.exit(1)
-    click.echo(
-        json.dumps(
-            {
-                "saturated_for": targets,
-                "partition": [list(c.elems) for c in cp.chains],
-            }
-        )
-    )
 
 
-def _parse_realizer(ctx, param, spec):
-    if spec is None:
-        return None
-    one, _, two = spec.partition("/")
-    return poset.Realizer(
-        _int_list(ctx, param, one), _int_list(ctx, param, two)
-    )
+def dual(input, realizer, table, csv, **limits):
+    from . import graphdual
 
-
-@main.command("dual")
-@click.argument("input", default="-")
-@click.option(
-    "--realizer",
-    callback=_parse_realizer,
-    help="Two comma-separated permutations joined by '/'; defaults to the"
-    " construction-carried realizer.",
-)
-@click.option("--table", is_flag=True, help="dk-table of the conjugate.")
-@click.option("--csv", is_flag=True)
-@click.option("--limit-n", type=int, default=saturation.DEFAULT_LIMIT_N)
-@click.option(
-    "--budget-seconds", type=float, default=saturation.DEFAULT_BUDGET_S
-)
-def dual(input, realizer, table, csv, limit_n, budget_seconds):
     p = _read_poset(input)
     if table:
         for line in _dk_table_lines(graphdual.conjugate(p, realizer), csv):
-            click.echo(line)
+            print(line)
         return
-    report = graphdual.is_co_polyunsaturated(
-        p, realizer, limit_n=limit_n, budget_s=budget_seconds
-    )
-    _print_report(report)
+    _print_report(graphdual.is_co_polyunsaturated(p, realizer, **limits))
 
 
-@main.command("enumerate")
-@click.option("--n", "n", type=int, required=True)
 def enumerate_cmd(n):
-    for p in poset.enumerate_posets(n):
-        click.echo(io.dumps(p), nl=False)
+    from . import io
+    from .poset import enumerate_posets
+
+    for p in enumerate_posets(n):
+        sys.stdout.write(io.dumps(p))
 
 
-@main.command("feasible")
-@click.option("--n", "n", type=int, default=None)
-@click.option("--c", "c", type=int, default=None)
-@click.option("--a", "a", type=int, default=None)
-@click.option("--dual", "dual_side", is_flag=True)
 def feasible(n, c, a, dual_side):
-    """Existence of a polyunsaturated poset with the given parameters.
+    """Print whether a polyunsaturated poset with the given parameters
+    exists, and exit 1 if none does."""
+    from . import construct
 
-    Give any two of --n/--c/--a, or all three.  With --dual, interprets
-    the parameters on the coloring (independence-number) side.
-    """
     if dual_side:
         if None in (n, a, c):
-            raise click.UsageError("--dual needs --n, --a, and --c")
-        verdict = graphdual.feasible_dual_nac(n, a, c)
+            raise BadParameters("--dual needs --n, --a, and --c")
+        from .graphdual import feasible_dual_nac
+
+        verdict = feasible_dual_nac(n, a, c)
     elif None not in (n, c, a):
-        verdict = con.feasible_nca(n, c, a)
+        verdict = construct.feasible_nca(n, c, a)
     elif n is None and None not in (c, a):
-        ok = con.feasible_ca(c, a)
-        click.echo("feasible" if ok else "infeasible: need a >= c - 2")
+        ok = construct.feasible_ca(c, a)
+        print("feasible" if ok else "infeasible: need a >= c - 2")
         sys.exit(0 if ok else 1)
     elif a is None and None not in (n, c):
-        ok = con.feasible_nc(n, c)
-        click.echo(
-            "feasible" if ok else "infeasible: need n >= binom(c, 2)"
-        )
+        ok = construct.feasible_nc(n, c)
+        print("feasible" if ok else "infeasible: need n >= binom(c, 2)")
         sys.exit(0 if ok else 1)
     else:
-        raise click.UsageError("give --c plus --a and/or --n")
+        raise BadParameters("give --c plus --a and/or --n")
     if verdict.feasible:
-        click.echo("feasible")
+        print("feasible")
     else:
-        click.echo("infeasible: " + ", ".join(verdict.failed_conditions))
+        print("infeasible: " + ", ".join(verdict.failed_conditions))
         sys.exit(1)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that takes only the options it lists: --help
+    but no -h, and no abbreviations of long options."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument(
+            "--help", action="help", help="Show this message and exit."
+        )
+
+
+def _commands(parent, title):
+    # A metavar names the required subcommand in the error for a missing
+    # one; without it (or a dest) argparse 3.10 raises TypeError there.
+    return parent.add_subparsers(
+        title=title, metavar="COMMAND", required=True
+    )
+
+
+def _command(commands, name, run, summary=None, description=None):
+    cmd = commands.add_parser(
+        name, help=summary, description=description or summary
+    )
+    cmd.set_defaults(run=run)
+    return cmd
+
+
+def _search_limits(cmd):
+    cmd.add_argument("--limit-n", type=int, default=argparse.SUPPRESS)
+    cmd.add_argument(
+        "--budget-seconds",
+        dest="budget_s",
+        metavar="SECONDS",
+        type=float,
+        default=argparse.SUPPRESS,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _parser(prog):
+    """The parser of every command.  Parsing leaves it unchanged, so it is
+    built once per program name, as in-process callers run many commands."""
+    top = _Parser(
+        prog=prog,
+        description="Exact computations on finite posets: maximum"
+        " k-families, saturated chain partitions, and polyunsaturated"
+        " constructions.",
+    )
+    commands = _commands(top, "commands")
+
+    summary = "Build named posets and emit them as JSON (or DOT)."
+    construct = commands.add_parser(
+        "construct", help=summary, description=summary
+    )
+    kinds = _commands(construct, "posets")
+    cmd = _command(kinds, "pj", construct_pj)
+    cmd.add_argument(
+        "--j", type=int, required=True, help="Tower index j >= 1."
+    )
+    cmd.add_argument(
+        "--dot", action="store_true", help="Emit DOT instead of JSON."
+    )
+    cmd = _command(kinds, "delta", construct_delta)
+    cmd.add_argument(
+        "--b", type=_int_list, required=True, help="Comma-separated sequence."
+    )
+    cmd.add_argument("--dot", action="store_true")
+    cmd = _command(kinds, "nca", construct_nca)
+    for name in ("--n", "--c", "--a"):
+        cmd.add_argument(name, type=int, required=True)
+    cmd.add_argument("--dot", action="store_true")
+
+    cmd = _command(commands, "dk-table", dk_table)
+    cmd.add_argument("input", nargs="?", default="-")
+    cmd.add_argument("--csv", action="store_true")
+
+    cmd = _command(commands, "certify", certify)
+    cmd.add_argument("input", nargs="?", default="-")
+    _search_limits(cmd)
+
+    cmd = _command(commands, "saturate", saturate)
+    cmd.add_argument("input", nargs="?", default="-")
+    cmd.add_argument(
+        "--ks", type=_int_list, required=True, help="Comma-separated k values."
+    )
+    _search_limits(cmd)
+
+    cmd = _command(commands, "dual", dual)
+    cmd.add_argument("input", nargs="?", default="-")
+    cmd.add_argument(
+        "--realizer",
+        type=_realizer,
+        help="Two comma-separated permutations joined by '/'; defaults to the"
+        " construction-carried realizer.",
+    )
+    cmd.add_argument(
+        "--table", action="store_true", help="dk-table of the conjugate."
+    )
+    cmd.add_argument("--csv", action="store_true")
+    _search_limits(cmd)
+
+    cmd = _command(commands, "enumerate", enumerate_cmd)
+    cmd.add_argument("--n", type=int, required=True)
+
+    cmd = _command(
+        commands,
+        "feasible",
+        feasible,
+        "Existence of a polyunsaturated poset with the given parameters.",
+        "Existence of a polyunsaturated poset with the given parameters."
+        "  Give any two of --n/--c/--a, or all three.  With --dual,"
+        " interprets the parameters on the coloring (independence-number)"
+        " side.",
+    )
+    for name in ("--n", "--c", "--a"):
+        cmd.add_argument(name, type=int)
+    cmd.add_argument("--dual", dest="dual_side", action="store_true")
+    return top
+
+
+class _Main:
+    """The `polysat` command.
+
+    Call it, or its main method, with a list of arguments (default
+    sys.argv[1:]).  A PolysatError prints `error: ...` on stderr and
+    exits 2; so does a usage error, through argparse.  A reader that
+    closes the pipe early, as `| head` does, ends the command with exit 1.
+    """
+
+    name = "polysat"
+
+    def main(self, args=None, prog_name=None, standalone_mode=True):
+        # standalone_mode is accepted for callers written against click and
+        # changes nothing: in both modes, errors exit through SystemExit.
+        ns = vars(_parser(prog_name or self.name).parse_args(args))
+        run = ns.pop("run")
+        try:
+            try:
+                run(**ns)
+            finally:
+                sys.stdout.flush()
+        except PolysatError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            sys.exit(2)
+        except BrokenPipeError:
+            import os
+
+            # Point stdout at /dev/null, so the flush at exit stays quiet.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
+
+    __call__ = main
+
+
+main = _Main()
 
 
 if __name__ == "__main__":

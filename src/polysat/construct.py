@@ -5,10 +5,7 @@ cover s_{j-1} <. s_j per stage); from_delta realizes any admissible
 difference sequence by the recursive disjoint-union construction.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 
 from .errors import BadK, BadParameters, Infeasible, InvalidDelta
 from .io import check_size
@@ -16,38 +13,43 @@ from .kfamily import DeltaSequence
 from .poset import (
     Chain,
     Realizer,
+    Value,
+    _set,
     chain_poset,
     disjoint_union,
     from_covers,
     height,
     width,
 )
-from .saturation import ChainPartition, is_k_saturated
 
 
-@dataclass(frozen=True)
-class PjLabels:
+class PjLabels(Value):
     """Named elements and blocks of a constructed tower poset.
 
     u is the global minimum of Q_1; s[i-1] and r[i-1] are the two top
     elements of Q_i; T[i-1] holds the rest of Q_i (T_1 = {u}).
     """
 
-    u: int
-    s: tuple
-    r: tuple
-    T: tuple
-    Q: tuple
+    __slots__ = ("u", "s", "r", "T", "Q")
+
+    def __init__(self, u, s, r, T, Q):
+        _set(self, "u", u)
+        _set(self, "s", s)
+        _set(self, "r", r)
+        _set(self, "T", T)
+        _set(self, "Q", Q)
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
-    feasible: bool
-    failed_conditions: tuple
+class FeasibilityVerdict(Value):
+    """Whether (n, c, a) is feasible, and the conditions that failed."""
 
-    def __post_init__(self):
-        if self.feasible != (not self.failed_conditions):
+    __slots__ = ("feasible", "failed_conditions")
+
+    def __init__(self, feasible, failed_conditions):
+        if feasible != (not failed_conditions):
             raise ValueError("feasible iff no condition failed")
+        _set(self, "feasible", feasible)
+        _set(self, "failed_conditions", failed_conditions)
 
 
 def build_pj(j):
@@ -101,6 +103,9 @@ def ck_partition(j, k):
     Blocks Q_i untouched for i > k are included, reading the construction
     as a partition of the whole poset.  Both k- and k+1-saturated.
     """
+    # Imported here, so the construct commands do not load the searches.
+    from .saturation import ChainPartition, is_k_saturated
+
     p, labels = build_pj(j)
     if not 1 <= k <= j:
         raise BadK(f"need 1 <= k <= {j}")

@@ -7,31 +7,27 @@ graph correspond to chain partitions of the conjugate, which yields the
 antichain-partition (coloring) saturation duals.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from .errors import BadK, BadParameters, InvalidRealizer, SizeLimitExceeded
-from .poset import Poset, Realizer, bits, popcount
-from .saturation import DEFAULT_LIMIT_N, is_polyunsaturated
+from .poset import Poset, Realizer, Value, _set, bits, popcount
+from .saturation import DEFAULT_BUDGET_S, DEFAULT_LIMIT_N, is_polyunsaturated
 
 ALPHA_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Value):
     """Simple undirected graph as symmetric adjacency bitmasks."""
 
-    n: int
-    adj: tuple
+    __slots__ = ("n", "adj")
 
-    def __post_init__(self):
-        for x in range(self.n):
-            if self.adj[x] >> x & 1:
+    def __init__(self, n, adj):
+        for x in range(n):
+            if adj[x] >> x & 1:
                 raise ValueError("no loops allowed")
-            for y in bits(self.adj[x]):
-                if not self.adj[y] >> x & 1:
+            for y in bits(adj[x]):
+                if not adj[y] >> x & 1:
                     raise ValueError("adjacency must be symmetric")
+        _set(self, "n", n)
+        _set(self, "adj", adj)
 
     def has_edge(self, x, y):
         return bool(self.adj[x] >> y & 1)
@@ -174,7 +170,9 @@ def _graphs_match_under(g_new, g_old, newidx):
     return True
 
 
-def is_co_polyunsaturated(p, r=None, limit_n=DEFAULT_LIMIT_N, budget_s=None):
+def is_co_polyunsaturated(
+    p, r=None, limit_n=DEFAULT_LIMIT_N, budget_s=DEFAULT_BUDGET_S
+):
     """Polyunsaturation of the conjugate: saturated proper colorings of the
     comparability graph are saturated chain partitions of the conjugate."""
     q = conjugate(p, r)

@@ -5,8 +5,6 @@ covers the sorted transitive reduction.  The reader closes any acyclic
 pair list, so hand-written files need not be reduced.
 """
 
-from __future__ import annotations
-
 import json
 
 from .errors import BadParameters

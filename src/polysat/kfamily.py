@@ -7,28 +7,25 @@ on the split DAG yields every e_f, so the whole d sequence costs one flow
 run, polynomial in n.
 """
 
-from __future__ import annotations
-
 import heapq
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import BadK, InvalidDelta, NotRanked
-from .poset import bits, chain_lengths, ranks
+from .poset import Value, _set, bits, chain_lengths, ranks
 
 
-@dataclass(frozen=True)
-class DSequence:
+class DSequence(Value):
     """Cumulative sequence d_1..d_c; strictly increasing and concave."""
 
-    d: tuple
+    __slots__ = ("d",)
 
-    def __post_init__(self):
-        if any(a >= b for a, b in zip(self.d, self.d[1:])):
+    def __init__(self, d):
+        if any(a >= b for a, b in zip(d, d[1:])):
             raise ValueError("d sequence must be strictly increasing")
-        deltas = [b - a for a, b in zip((0,) + self.d, self.d)]
+        deltas = [b - a for a, b in zip((0,) + d, d)]
         if any(a < b for a, b in zip(deltas, deltas[1:])):
             raise ValueError("d sequence must be concave")
+        _set(self, "d", d)
 
     def at(self, k):
         """d_k for any k >= 1; d_k = d_c = n for k at or above the height."""
@@ -40,17 +37,17 @@ class DSequence:
         )
 
 
-@dataclass(frozen=True)
-class DeltaSequence:
+class DeltaSequence(Value):
     """Difference sequence with the convention delta b_1 = b_1."""
 
-    b: tuple
+    __slots__ = ("b",)
 
-    def __post_init__(self):
-        if not self.b or any(x < 1 for x in self.b):
+    def __init__(self, b):
+        if not b or any(x < 1 for x in b):
             raise InvalidDelta("entries must be positive")
-        if any(a > b for a, b in zip(self.b[1:], self.b[:-1])):
+        if any(x > y for x, y in zip(b[1:], b[:-1])):
             raise InvalidDelta("sequence must be nonincreasing")
+        _set(self, "b", b)
 
     @property
     def c(self):

@@ -6,11 +6,8 @@ relabels its input to restore that invariant, so downstream search code
 may always extend chains upward in index.
 """
 
-from __future__ import annotations
-
 import heapq
 import itertools
-from dataclasses import dataclass
 
 from .errors import (
     CycleDetected,
@@ -20,7 +17,6 @@ from .errors import (
     SizeLimitExceeded,
 )
 
-ISO_LIMIT = 10
 ENUM_LIMIT = 6
 
 
@@ -36,12 +32,58 @@ def popcount(mask):
     return mask.bit_count()
 
 
-@dataclass(frozen=True)
-class Realizer:
+# Value refuses every assignment, so its subclasses' __init__s fill their
+# slots through object's.
+_set = object.__setattr__
+
+
+class Value:
+    """Base of the immutable value classes.
+
+    A subclass names its fields in __slots__, in the order of its
+    __init__'s parameters, and sets each one there through _set.
+    Instances are equal when they have the same type and equal fields,
+    hash like the tuple of their fields, and copy and pickle by calling
+    the class on them.
+    """
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a {type(self).__name__} is immutable")
+
+
+class Realizer(Value):
     """Two linear extensions whose intersection is the order."""
 
-    ext1: tuple
-    ext2: tuple
+    __slots__ = ("ext1", "ext2")
+
+    def __init__(self, ext1, ext2):
+        _set(self, "ext1", ext1)
+        _set(self, "ext2", ext2)
 
 
 class Poset:
@@ -65,7 +107,6 @@ class Poset:
         if len(up) != n:
             raise ValueError("up must have one row per element")
         full_above = (1 << n) - 1
-        down = [0] * n
         for x in range(n):
             row = up[x]
             # Zero bits at or below x give irreflexivity and antisymmetry
@@ -74,12 +115,13 @@ class Poset:
                 raise ValueError("indices are not topological")
             if row & ~full_above:
                 raise IndexOutOfRange("relation row mentions element >= n")
-            for y in bits(row):
-                down[y] |= 1 << x
+        down = [0] * n
         for x in range(n):
-            for y in bits(up[x]):
-                if up[y] & ~up[x]:
+            row = up[x]
+            for y in bits(row):
+                if up[y] & ~row:
                     raise ValueError("relation is not transitive")
+                down[y] |= 1 << x
         # __setattr__ refuses every assignment, so the slots are filled
         # through object's.
         init = object.__setattr__
@@ -119,15 +161,15 @@ class Poset:
         return f"Poset(n={self.n}, covers={cover_relations(self)})"
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Value):
     """A chain given by strictly index-increasing element indices."""
 
-    elems: tuple
+    __slots__ = ("elems",)
 
-    def __post_init__(self):
-        if any(a >= b for a, b in zip(self.elems, self.elems[1:])):
+    def __init__(self, elems):
+        if any(a >= b for a, b in zip(elems, elems[1:])):
             raise ValueError("chain indices must strictly increase")
+        _set(self, "elems", elems)
 
     def __len__(self):
         return len(self.elems)
@@ -328,8 +370,8 @@ def _invariants(p, rounds=3):
     """Per-element structural invariants, comparable across posets.
 
     Nested tuples built by a fixed number of refinement rounds; label
-    independent, so equal values may merge distinct orbits (the searches
-    below stay correct, just with larger blocks).
+    independent, so equal values may merge distinct orbits (the search
+    below stays correct, just with larger blocks).
     """
     inv = [(popcount(p.down[x]), popcount(p.up[x])) for x in range(p.n)]
     for _ in range(rounds):
@@ -342,45 +384,6 @@ def _invariants(p, rounds=3):
             for x in range(p.n)
         ]
     return inv
-
-
-def isomorphic(p, q, limit=ISO_LIMIT):
-    """Order-isomorphism test by invariant refinement plus backtracking."""
-    if p.n > limit or q.n > limit:
-        raise SizeLimitExceeded(f"isomorphism limited to n<={limit}")
-    if p.n != q.n:
-        return False
-    inv_p = _invariants(p)
-    inv_q = _invariants(q)
-    if sorted(inv_p) != sorted(inv_q):
-        return False
-    n = p.n
-    image = [-1] * n
-    used = 0
-
-    def assign(x):
-        nonlocal used
-        if x == n:
-            return True
-        for y in range(n):
-            if used >> y & 1 or inv_p[x] != inv_q[y]:
-                continue
-            ok = True
-            for z in range(x):
-                if p.less(z, x) != q.less(image[z], y) or p.less(
-                    x, z
-                ) != q.less(y, image[z]):
-                    ok = False
-                    break
-            if ok:
-                image[x] = y
-                used |= 1 << y
-                if assign(x + 1):
-                    return True
-                used &= ~(1 << y)
-        return False
-
-    return assign(0)
 
 
 def canonical_key(p):
@@ -412,20 +415,6 @@ def canonical_key(p):
         if best is None or key < best:
             best = key
     return best
-
-
-def induced(p, mask):
-    """Induced subposet on the elements of mask, plus index mapping."""
-    elems = list(bits(mask))
-    pos = {x: i for i, x in enumerate(elems)}
-    up = []
-    for x in elems:
-        row = 0
-        for y in bits(p.up[x] & mask):
-            row |= 1 << pos[y]
-        up.append(row)
-    names = [p.name(x) for x in elems] if p.names is not None else None
-    return Poset(len(elems), up, names=names), elems
 
 
 def enumerate_posets(n):

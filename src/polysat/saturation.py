@@ -18,8 +18,9 @@ mask.
 A refuted pair is reported with its minimum m_k + m_l, which no existence
 search gives.  One exact DP computes them all: every pair's DP expands
 the same masks, so one memo holds, per mask, a tuple with one minimum per
-refuted pair.  min_norm, min_joint_norm and find_saturated run the same
-DP with a single objective.
+refuted pair.  min_norm and min_joint_norm run the same DP with a single
+objective; find_saturated is one orthogonal search, for every k it is
+given at once.
 
 The witness of an orthogonal cover is the one the DP would give, so the
 output does not depend on which search found it.  Take a mask whose
@@ -28,13 +29,11 @@ does when a witness exists.  A chain's k- and l-norms are at least its
 share, and so is the minimum on what the chain leaves.  So a move
 reaches the DP's minimum iff its chain is orthogonal and the rest has an
 orthogonal cover, and the first such move in walk order, which both
-searches take, is the same chain.
+searches take, is the same chain.  The argument holds for any set of k,
+which is how find_saturated answers the DP's question with a cover.
 """
 
-from __future__ import annotations
-
 import time
-from dataclasses import dataclass, field
 from operator import add
 
 from .errors import (
@@ -45,53 +44,67 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .kfamily import d_sequence, dk, max_kfamily
-from .poset import Chain, Poset, bits
+from .poset import Chain, Value, _set, bits
 
 DEFAULT_LIMIT_N = 16
 HARD_LIMIT_N = 24
+# Seconds a search may take when the caller names no budget; budget_s=None
+# lifts the bound.
 DEFAULT_BUDGET_S = 600.0
 
 
-@dataclass(frozen=True)
-class ChainPartition:
+class ChainPartition(Value):
     """A partition of the ground set of a poset into chains."""
 
-    poset: Poset
-    chains: tuple
+    __slots__ = ("poset", "chains")
 
-    def __post_init__(self):
+    def __init__(self, poset, chains):
         seen = 0
-        for chain in self.chains:
-            if not chain.is_valid(self.poset):
+        for chain in chains:
+            if not chain.is_valid(poset):
                 raise PartitionMismatch("block is not a chain")
             m = chain.mask()
             if m & seen:
                 raise PartitionMismatch("blocks overlap")
             seen |= m
-        if seen != (1 << self.poset.n) - 1:
+        if seen != (1 << poset.n) - 1:
             raise PartitionMismatch("blocks do not cover the ground set")
+        _set(self, "poset", poset)
+        _set(self, "chains", chains)
 
     def __len__(self):
         return len(self.chains)
 
 
-@dataclass(frozen=True)
-class Witness:
-    partition: ChainPartition
+class Witness(Value):
+    """A pair's verdict when a partition saturated for both k and l exists."""
+
+    __slots__ = ("partition",)
+
+    def __init__(self, partition):
+        _set(self, "partition", partition)
 
 
-@dataclass(frozen=True)
-class NoJointPartition:
-    min_joint_norm: int
+class NoJointPartition(Value):
+    """A pair's verdict when none exists: the least m_k + m_l there is."""
+
+    __slots__ = ("min_joint_norm",)
+
+    def __init__(self, min_joint_norm):
+        _set(self, "min_joint_norm", min_joint_norm)
 
 
-@dataclass(frozen=True)
-class PolyunsatReport:
+class PolyunsatReport(Value):
     """Per-pair verdicts, with the d sequence d_1..d_c they compare to."""
 
-    d: tuple
-    pair_verdicts: dict = field(default_factory=dict)
-    conclusion: bool = True
+    __slots__ = ("d", "pair_verdicts", "conclusion")
+
+    def __init__(self, d, pair_verdicts=None, conclusion=True):
+        if pair_verdicts is None:
+            pair_verdicts = {}
+        _set(self, "d", d)
+        _set(self, "pair_verdicts", pair_verdicts)
+        _set(self, "conclusion", conclusion)
 
     @property
     def c(self):
@@ -256,7 +269,7 @@ def _minimize(p, ks, deadline):
     return value, search.witness(0)
 
 
-def min_norm(p, k, limit_n=DEFAULT_LIMIT_N, budget_s=None):
+def min_norm(p, k, limit_n=DEFAULT_LIMIT_N, budget_s=DEFAULT_BUDGET_S):
     """Minimum m_k over all chain partitions, with one minimizer.
 
     By Greene-Kleitman the value equals d_k; a mismatch is a bug and
@@ -270,30 +283,38 @@ def min_norm(p, k, limit_n=DEFAULT_LIMIT_N, budget_s=None):
     return value, partition
 
 
-def min_joint_norm(p, k, l, limit_n=DEFAULT_LIMIT_N, budget_s=None):
+def min_joint_norm(
+    p, k, l, limit_n=DEFAULT_LIMIT_N, budget_s=DEFAULT_BUDGET_S
+):
     """Minimum m_k + m_l over all chain partitions, with one minimizer."""
     if not 1 <= k < l:
         raise BadK("need 1 <= k < l")
     return _minimize(p, (k, l), _start(p, limit_n, budget_s))
 
 
-def find_saturated(p, ks, limit_n=DEFAULT_LIMIT_N, budget_s=None):
+def find_saturated(
+    p, ks, limit_n=DEFAULT_LIMIT_N, budget_s=DEFAULT_BUDGET_S
+):
     """A partition saturated for every k in ks, or None (exhaustive).
 
-    A partition attains sum_k m_k = sum_k d_k iff it is k-saturated for
-    every k in ks, since each m_k >= d_k individually.
+    A partition is k-saturated iff each of its chains is orthogonal to a
+    largest k-family, so this is the first cover in walk order by chains
+    orthogonal to A_k for every k in ks: the partition the DP minimizing
+    sum_k m_k would give.
     """
     ks = sorted(set(ks))
     if not ks or ks[0] < 1:
         raise BadK("ks must be positive")
-    value, partition = _minimize(p, ks, _start(p, limit_n, budget_s))
-    d = d_sequence(p)
-    if value != sum(d.at(k) for k in ks):
-        return None
-    return partition
+    search = _NormSearch(p, _start(p, limit_n, budget_s))
+    return search.cover(
+        [(k, max_kfamily(p, k)) for k in ks],
+        f"orthogonal search for k in {tuple(ks)}",
+    )
 
 
-def is_polyunsaturated(p, limit_n=DEFAULT_LIMIT_N, budget_s=None):
+def is_polyunsaturated(
+    p, limit_n=DEFAULT_LIMIT_N, budget_s=DEFAULT_BUDGET_S
+):
     """Per-pair verdicts for all nonconsecutive k < l < height.
 
     Each pair is settled by a search for a cover by chains orthogonal to

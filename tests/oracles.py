@@ -8,12 +8,14 @@ and is_comparability check width, the minimum-norm searches and the
 conjugate's graph by exhaustive enumeration.  dp_minimize is the
 single-objective subset DP, and is_polyunsaturated_per_pair runs it once
 per pair, as certify did before it searched by orthogonality.
+isomorphic decides order isomorphism by invariant refinement and
+backtracking.
 """
 
 import itertools
 
 from polysat.errors import BadK, SizeLimitExceeded
-from polysat.poset import Chain, bits, height, popcount
+from polysat.poset import Chain, _invariants, bits, height, popcount
 from polysat.kfamily import d_sequence
 from polysat.saturation import (
     DEFAULT_LIMIT_N,
@@ -24,6 +26,7 @@ from polysat.saturation import (
 )
 
 ORACLE_LIMIT = 10
+ISO_LIMIT = 10
 ORIENT_LIMIT = 8
 
 
@@ -323,3 +326,42 @@ def is_polyunsaturated_per_pair(p):
         isinstance(v, NoJointPartition) for v in verdicts.values()
     )
     return PolyunsatReport(d=d, pair_verdicts=verdicts, conclusion=conclusion)
+
+
+def isomorphic(p, q, limit=ISO_LIMIT):
+    """Order-isomorphism test by invariant refinement plus backtracking."""
+    if p.n > limit or q.n > limit:
+        raise SizeLimitExceeded(f"isomorphism limited to n<={limit}")
+    if p.n != q.n:
+        return False
+    inv_p = _invariants(p)
+    inv_q = _invariants(q)
+    if sorted(inv_p) != sorted(inv_q):
+        return False
+    n = p.n
+    image = [-1] * n
+    used = 0
+
+    def assign(x):
+        nonlocal used
+        if x == n:
+            return True
+        for y in range(n):
+            if used >> y & 1 or inv_p[x] != inv_q[y]:
+                continue
+            ok = True
+            for z in range(x):
+                if p.less(z, x) != q.less(image[z], y) or p.less(
+                    x, z
+                ) != q.less(y, image[z]):
+                    ok = False
+                    break
+            if ok:
+                image[x] = y
+                used |= 1 << y
+                if assign(x + 1):
+                    return True
+                used &= ~(1 << y)
+        return False
+
+    return assign(0)

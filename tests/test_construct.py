@@ -16,7 +16,6 @@ from polysat import (
     from_delta,
     height,
     is_k_saturated,
-    isomorphic,
     lower_bounds,
     mk,
     realize_nca,
@@ -26,6 +25,7 @@ from polysat import (
     width,
 )
 from polysat.errors import BadK, BadParameters, Infeasible, InvalidDelta
+from oracles import isomorphic
 
 
 def all_valid_deltas(max_c, max_sum):

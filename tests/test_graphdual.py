@@ -18,13 +18,12 @@ from polysat import (
     from_delta,
     height,
     is_co_polyunsaturated,
-    isomorphic,
     omega_k,
     pj_realizer,
     verify_realizer,
 )
 from polysat.errors import BadParameters, InvalidRealizer
-from oracles import is_comparability
+from oracles import is_comparability, isomorphic
 from util import random_poset, seeded
 
 

@@ -1,5 +1,8 @@
 """Core order structure: construction, heights, widths, isomorphism."""
 
+import copy
+import pickle
+
 import pytest
 
 from polysat import (
@@ -12,7 +15,6 @@ from polysat import (
     enumerate_posets,
     from_covers,
     height,
-    isomorphic,
     ranks,
     width,
 )
@@ -23,8 +25,11 @@ from polysat.errors import (
     InvalidRealizer,
     SizeLimitExceeded,
 )
-from polysat.poset import Poset, Realizer
-from oracles import width_bruteforce
+from polysat.poset import Chain, Poset, Realizer
+from polysat.kfamily import DeltaSequence, DSequence
+from polysat.construct import PjLabels
+from polysat.saturation import PolyunsatReport
+from oracles import isomorphic, width_bruteforce
 from util import random_poset, seeded
 
 
@@ -71,6 +76,19 @@ def test_from_covers_range_checks_the_realizer():
             from_covers(2, [], realizer=Realizer((0, 1), ext))
 
 
+def test_poset_checks_its_rows():
+    with pytest.raises(ValueError, match="not transitive"):
+        Poset(3, [0b010, 0b100, 0])
+    with pytest.raises(ValueError, match="not topological"):
+        Poset(2, [0, 0b01])
+    with pytest.raises(IndexOutOfRange):
+        Poset(2, [0b100, 0])
+    # Every row is range-checked before any transitivity check.
+    with pytest.raises(IndexOutOfRange):
+        Poset(3, [0b010, 0b100, 0b1000])
+    assert Poset(3, [0b110, 0b100, 0]).down == (0, 0b001, 0b011)
+
+
 def test_poset_is_immutable():
     p, _ = from_covers(2, [(0, 1)], names=["a", "b"])
     for attr, value in (
@@ -87,6 +105,36 @@ def test_poset_is_immutable():
     assert (p.n, p.up, p.names, p.realizer) == (2, (2, 0), ("a", "b"), None)
     # Equality and hashing look at the order only.
     assert p == chain_poset(2) and hash(p) == hash(chain_poset(2))
+
+
+def test_values_are_immutable_and_compare_by_type_and_fields():
+    values = [
+        Chain((0, 2)),
+        Realizer((0, 1), (1, 0)),
+        DSequence((2, 3)),
+        DeltaSequence((2, 1)),
+        PolyunsatReport(d=(2, 3), conclusion=False),
+        PjLabels(u=0, s=(1,), r=(2,), T=(frozenset({0}),), Q=()),
+    ]
+    for v in values:
+        for copied in (copy.copy(v), pickle.loads(pickle.dumps(v))):
+            assert copied == v and type(copied) is type(v)
+            if not isinstance(v, PolyunsatReport):
+                assert hash(copied) == hash(v)
+        with pytest.raises(AttributeError):
+            setattr(v, v.__slots__[0], None)
+        with pytest.raises(AttributeError):
+            delattr(v, v.__slots__[0])
+    assert Chain((0, 2)) != Chain((0, 1)) and Chain((0, 2)) != (0, 2)
+    assert DSequence((3,)) != DeltaSequence((3,))
+    assert repr(Realizer((0,), (0,))) == "Realizer(ext1=(0,), ext2=(0,))"
+    # A report holds a dict, so it has no hash; its verdicts default to a
+    # fresh dict.
+    with pytest.raises(TypeError):
+        hash(PolyunsatReport(d=()))
+    assert PolyunsatReport(d=()).pair_verdicts is not (
+        PolyunsatReport(d=()).pair_verdicts
+    )
 
 
 def test_cover_relations_examples():

@@ -257,25 +257,40 @@ def test_find_saturated_matches_dp_oracle():
         for ks in itertools.chain(
             itertools.combinations(range(1, c + 1), 1),
             itertools.combinations(range(1, c + 1), 2),
+            itertools.combinations(range(1, c + 1), 3),
         ):
             assert find_saturated(p, ks) == find_saturated_dp(p, ks)
 
 
-def test_conjugate_certificate_stays_within_its_state_count(monkeypatch):
-    # The per-pair DP expands 11,216 masks for each of this poset's six
-    # pairs; the orthogonal searches settle all six, each with a witness.
-    searches = []
+@pytest.fixture
+def searches(monkeypatch):
+    """Every _NormSearch made while the test runs."""
+    made = []
 
     class Counting(saturation._NormSearch):
         def __init__(self, *args):
             super().__init__(*args)
-            searches.append(self)
+            made.append(self)
 
     monkeypatch.setattr(saturation, "_NormSearch", Counting)
+    return made
+
+
+def test_conjugate_certificate_stays_within_its_state_count(searches):
+    # The per-pair DP expands 11,216 masks for each of this poset's six
+    # pairs; the orthogonal searches settle all six, each with a witness.
     q = conjugate(from_delta((6, 5, 4, 1, 1)))
     report = is_polyunsaturated(q, limit_n=24)
     assert not report.conclusion and len(report.pair_verdicts) == 6
     assert sum(search.states for search in searches) < 5000
+
+
+def test_find_saturated_stays_within_its_state_count(searches):
+    # The DP minimizing m_1 + m_5 here expands 11,216 masks; the search
+    # for a cover orthogonal to A_1 and A_5 expands 1,395.
+    q = conjugate(from_delta((6, 5, 4, 1, 1)))
+    assert find_saturated(q, (1, 5), limit_n=24) is not None
+    assert sum(search.states for search in searches) < 2000
 
 
 def test_budget_must_be_a_nonnegative_number():
