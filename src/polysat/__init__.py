@@ -25,18 +25,7 @@ _ORIGIN = {
             "sequence_for",
             "upper_bounds",
         ),
-        "graphdual": (
-            "Graph",
-            "alpha_k",
-            "comparability_graph",
-            "complement",
-            "conjugate",
-            "feasible_dual_nac",
-            "is_co_polyunsaturated",
-            "omega_k",
-            "pj_realizer",
-            "verify_realizer",
-        ),
+        "graphdual": ("conjugate", "feasible_dual_nac", "verify_realizer"),
         "kfamily": (
             "DeltaSequence",
             "DSequence",

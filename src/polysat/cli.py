@@ -17,7 +17,7 @@ import sys
 from .errors import BadParameters, PolysatError
 
 
-def _read_poset(source):
+def _read_poset(source, realizer=None):
     from . import io
 
     try:
@@ -28,7 +28,7 @@ def _read_poset(source):
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise PolysatError(f"cannot read {source}: {exc}") from None
-    return io.loads(text)
+    return io.loads(text, realizer)
 
 
 def _int_list(value):
@@ -142,14 +142,18 @@ def saturate(input, ks, **limits):
 
 
 def dual(input, realizer, table, csv, **limits):
+    """The conjugate's dk-table or certificate: its chain partitions are
+    the proper colorings of the input's comparability graph."""
     from . import graphdual
 
-    p = _read_poset(input)
+    q = graphdual.conjugate(_read_poset(input, realizer))
     if table:
-        for line in _dk_table_lines(graphdual.conjugate(p, realizer), csv):
+        for line in _dk_table_lines(q, csv):
             print(line)
         return
-    _print_report(graphdual.is_co_polyunsaturated(p, realizer, **limits))
+    from . import saturation
+
+    _print_report(saturation.is_polyunsaturated(q, **limits))
 
 
 def enumerate_cmd(n):

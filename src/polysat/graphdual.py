@@ -1,100 +1,16 @@
-"""Comparability-graph view, 2-realizers, conjugates, and coloring duals.
+"""2-realizers, conjugate orders, and the coloring-side feasibility.
 
 A poset has dimension at most 2 exactly when the complement of its
 comparability graph is again a comparability graph; the conjugate order
-built from a 2-realizer orients that complement.  Proper colorings of the
-graph correspond to chain partitions of the conjugate, which yields the
-antichain-partition (coloring) saturation duals.
+built from a 2-realizer orients that complement.  The graph questions
+therefore reduce to the poset's own: for the comparability graph G of P,
+alpha_k(G) = d_k(P) and omega_k(G) = e_k(P) (Greene 1976; Frank 1980), and
+proper colorings of G are chain partitions of the conjugate, so the
+coloring-side saturation duals are the conjugate's polyunsaturation.
 """
 
-from .errors import BadK, BadParameters, InvalidRealizer, SizeLimitExceeded
-from .poset import Poset, Realizer, Value, _set, bits, popcount
-from .saturation import DEFAULT_BUDGET_S, DEFAULT_LIMIT_N, is_polyunsaturated
-
-ALPHA_LIMIT = 16
-
-
-class Graph(Value):
-    """Simple undirected graph as symmetric adjacency bitmasks."""
-
-    __slots__ = ("n", "adj")
-
-    def __init__(self, n, adj):
-        for x in range(n):
-            if adj[x] >> x & 1:
-                raise ValueError("no loops allowed")
-            for y in bits(adj[x]):
-                if not adj[y] >> x & 1:
-                    raise ValueError("adjacency must be symmetric")
-        _set(self, "n", n)
-        _set(self, "adj", adj)
-
-    def has_edge(self, x, y):
-        return bool(self.adj[x] >> y & 1)
-
-    def edge_count(self):
-        return sum(popcount(row) for row in self.adj) // 2
-
-
-def comparability_graph(p):
-    return Graph(p.n, tuple(p.up[x] | p.down[x] for x in range(p.n)))
-
-
-def complement(g):
-    full = (1 << g.n) - 1
-    return Graph(
-        g.n, tuple(~(g.adj[x] | 1 << x) & full for x in range(g.n))
-    )
-
-
-def _maximal_independent_sets(g):
-    """Bron-Kerbosch over the complement (cliques there = our MIS)."""
-    comp = complement(g)
-    out = []
-
-    def bk(r, p_mask, x_mask):
-        if p_mask == 0 and x_mask == 0:
-            out.append(r)
-            return
-        pivot_pool = p_mask | x_mask
-        pivot = (pivot_pool & -pivot_pool).bit_length() - 1
-        for v in bits(p_mask & ~comp.adj[pivot]):
-            bk(r | 1 << v, p_mask & comp.adj[v], x_mask & comp.adj[v])
-            p_mask &= ~(1 << v)
-            x_mask |= 1 << v
-
-    bk(0, (1 << g.n) - 1, 0)
-    return out
-
-
-def alpha_k(g, k):
-    """Maximum vertices in a union of k independent sets, exactly."""
-    if k < 1:
-        raise BadK("k must be positive")
-    if g.n > ALPHA_LIMIT:
-        raise SizeLimitExceeded(f"alpha_k limited to n<={ALPHA_LIMIT}")
-    mis = _maximal_independent_sets(g)
-    frontier = {0}
-    for _ in range(k):
-        unions = {u | a for u in frontier for a in mis}
-        frontier = {
-            u for u in unions if not any(v != u and v | u == v for v in unions)
-        }
-        if (1 << g.n) - 1 in frontier:
-            return g.n
-    return max(popcount(u) for u in frontier)
-
-
-def omega_k(g, k):
-    """Maximum vertices in a union of k cliques, exactly."""
-    return alpha_k(complement(g), k)
-
-
-def pj_realizer(j):
-    """The two printed linear extensions of the tower poset."""
-    from .construct import build_pj
-
-    return build_pj(j)[0].realizer
+from .errors import BadParameters, InvalidRealizer
+from .poset import Poset, Realizer, bits
 
 
 def verify_realizer(p, r):
@@ -153,30 +69,16 @@ def conjugate(p, r=None):
     q = Poset(
         n, up, names=names, realizer=Realizer(tuple(range(n)), rev2)
     )
-    if not _graphs_match_under(
-        comparability_graph(q), complement(comparability_graph(p)), newidx
-    ):
-        raise AssertionError("conjugate's graph is not the complement")
-    return q
-
-
-def _graphs_match_under(g_new, g_old, newidx):
-    for x in range(g_old.n):
+    # Row by row, q's comparabilities are p's non-comparabilities.
+    full = (1 << n) - 1
+    for x in range(n):
+        i = newidx[x]
         mapped = 0
-        for y in bits(g_old.adj[x]):
+        for y in bits(p.up[x] | p.down[x]):
             mapped |= 1 << newidx[y]
-        if mapped != g_new.adj[newidx[x]]:
-            return False
-    return True
-
-
-def is_co_polyunsaturated(
-    p, r=None, limit_n=DEFAULT_LIMIT_N, budget_s=DEFAULT_BUDGET_S
-):
-    """Polyunsaturation of the conjugate: saturated proper colorings of the
-    comparability graph are saturated chain partitions of the conjugate."""
-    q = conjugate(p, r)
-    return is_polyunsaturated(q, limit_n=limit_n, budget_s=budget_s)
+        if q.up[i] | q.down[i] != full & ~mapped & ~(1 << i):
+            raise AssertionError("conjugate's graph is not the complement")
+    return q
 
 
 def feasible_dual_nac(n, a, c):

@@ -43,15 +43,16 @@ def _ints(seq, length=None):
     )
 
 
-def poset_from_obj(obj):
-    """Validate a decoded poset object and build the poset it describes."""
+def poset_from_obj(obj, realizer=None):
+    """Validate a decoded poset object and build the poset it describes.
+    A realizer given here, in the object's labels, replaces its own."""
     if not (isinstance(obj, dict) and _ints([obj.get("n")])):
         raise BadParameters("malformed poset JSON: need an integer n")
     n = obj["n"]
     check_size(n)
     covers = obj.get("covers", [])
     names = obj.get("names")
-    realizer = obj.get("realizer")
+    carried = obj.get("realizer")
     if not (isinstance(covers, list) and all(_ints(c, 2) for c in covers)):
         raise BadParameters("covers must be a list of [x, y] integer pairs")
     if names is not None and not (
@@ -60,29 +61,29 @@ def poset_from_obj(obj):
         and all(isinstance(x, str) for x in names)
     ):
         raise BadParameters("names must be a list of n strings")
-    if realizer is not None:
+    if carried is not None:
         if not (
-            isinstance(realizer, list)
-            and len(realizer) == 2
-            and all(_ints(e) for e in realizer)
+            isinstance(carried, list)
+            and len(carried) == 2
+            and all(_ints(e) for e in carried)
         ):
             raise BadParameters("realizer must be two lists of integers")
-        realizer = Realizer(*map(tuple, realizer))
-    return from_covers(n, covers, names, realizer)[0]
+        carried = Realizer(*map(tuple, carried))
+    return from_covers(n, covers, names, realizer or carried)[0]
 
 
 def dumps(p):
     return json.dumps(poset_to_obj(p), separators=(", ", ": ")) + "\n"
 
 
-def loads(text):
+def loads(text, realizer=None):
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and integers with too many
         # digits; RecursionError comes from deeply nested arrays.
         raise BadParameters(f"invalid JSON: {exc}") from None
-    return poset_from_obj(obj)
+    return poset_from_obj(obj, realizer)
 
 
 def export_dot(p):

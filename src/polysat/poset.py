@@ -28,10 +28,6 @@ def bits(mask):
         mask ^= low
 
 
-def popcount(mask):
-    return mask.bit_count()
-
-
 # Value refuses every assignment, so its subclasses' __init__s fill their
 # slots through object's.
 _set = object.__setattr__
@@ -373,7 +369,7 @@ def _invariants(p, rounds=3):
     independent, so equal values may merge distinct orbits (the search
     below stays correct, just with larger blocks).
     """
-    inv = [(popcount(p.down[x]), popcount(p.up[x])) for x in range(p.n)]
+    inv = [(p.down[x].bit_count(), p.up[x].bit_count()) for x in range(p.n)]
     for _ in range(rounds):
         inv = [
             (

@@ -5,7 +5,10 @@ k antichains; by Mirsky's dual of Dilworth, a set is a k-family exactly
 when its induced height is at most k).  dk_oracle maximizes over unions of
 maximal antichains directly.  width_bruteforce, enumerate_chain_partitions
 and is_comparability check width, the minimum-norm searches and the
-conjugate's graph by exhaustive enumeration.  dp_minimize is the
+conjugate's graph by exhaustive enumeration.  Graph, with
+comparability_graph and complement, is the graph side of a poset, and
+alpha_k and omega_k compute its k-independence and k-clique numbers from
+its maximal independent sets, by Bron-Kerbosch.  dp_minimize is the
 single-objective subset DP, and is_polyunsaturated_per_pair runs it once
 per pair, as certify did before it searched by orthogonality.
 isomorphic decides order isomorphism by invariant refinement and
@@ -15,7 +18,7 @@ backtracking.
 import itertools
 
 from polysat.errors import BadK, SizeLimitExceeded
-from polysat.poset import Chain, _invariants, bits, height, popcount
+from polysat.poset import Chain, Value, _invariants, _set, bits, height
 from polysat.kfamily import d_sequence
 from polysat.saturation import (
     DEFAULT_LIMIT_N,
@@ -28,6 +31,7 @@ from polysat.saturation import (
 ORACLE_LIMIT = 10
 ISO_LIMIT = 10
 ORIENT_LIMIT = 8
+ALPHA_LIMIT = 16
 
 
 def _greedy_chain_cover(p):
@@ -159,7 +163,7 @@ def dk_oracle(p, k):
         frontier = {
             u for u in unions if not any(v != u and v | u == v for v in unions)
         }
-    return max(popcount(u) for u in frontier)
+    return max(u.bit_count() for u in frontier)
 
 
 def width_bruteforce(p, limit=20):
@@ -168,10 +172,10 @@ def width_bruteforce(p, limit=20):
         raise SizeLimitExceeded(f"brute-force width limited to n<={limit}")
     best = 0
     for mask in range(1, 1 << p.n):
-        if popcount(mask) <= best:
+        if mask.bit_count() <= best:
             continue
         if all(not (p.up[x] & mask) for x in bits(mask)):
-            best = popcount(mask)
+            best = mask.bit_count()
     return best
 
 
@@ -206,6 +210,82 @@ def enumerate_chain_partitions(p, limit_n=DEFAULT_LIMIT_N):
             chain.pop()
 
     yield from rec((1 << p.n) - 1)
+
+
+class Graph(Value):
+    """Simple undirected graph as symmetric adjacency bitmasks."""
+
+    __slots__ = ("n", "adj")
+
+    def __init__(self, n, adj):
+        for x in range(n):
+            if adj[x] >> x & 1:
+                raise ValueError("no loops allowed")
+            for y in bits(adj[x]):
+                if not adj[y] >> x & 1:
+                    raise ValueError("adjacency must be symmetric")
+        _set(self, "n", n)
+        _set(self, "adj", adj)
+
+    def has_edge(self, x, y):
+        return bool(self.adj[x] >> y & 1)
+
+    def edge_count(self):
+        return sum(row.bit_count() for row in self.adj) // 2
+
+
+def comparability_graph(p):
+    return Graph(p.n, tuple(p.up[x] | p.down[x] for x in range(p.n)))
+
+
+def complement(g):
+    full = (1 << g.n) - 1
+    return Graph(
+        g.n, tuple(~(g.adj[x] | 1 << x) & full for x in range(g.n))
+    )
+
+
+def _maximal_independent_sets(g):
+    """Bron-Kerbosch over the complement (cliques there = our MIS)."""
+    comp = complement(g)
+    out = []
+
+    def bk(r, p_mask, x_mask):
+        if p_mask == 0 and x_mask == 0:
+            out.append(r)
+            return
+        pivot_pool = p_mask | x_mask
+        pivot = (pivot_pool & -pivot_pool).bit_length() - 1
+        for v in bits(p_mask & ~comp.adj[pivot]):
+            bk(r | 1 << v, p_mask & comp.adj[v], x_mask & comp.adj[v])
+            p_mask &= ~(1 << v)
+            x_mask |= 1 << v
+
+    bk(0, (1 << g.n) - 1, 0)
+    return out
+
+
+def alpha_k(g, k):
+    """Maximum vertices in a union of k independent sets, exactly."""
+    if k < 1:
+        raise BadK("k must be positive")
+    if g.n > ALPHA_LIMIT:
+        raise SizeLimitExceeded(f"alpha_k limited to n<={ALPHA_LIMIT}")
+    mis = _maximal_independent_sets(g)
+    frontier = {0}
+    for _ in range(k):
+        unions = {u | a for u in frontier for a in mis}
+        frontier = {
+            u for u in unions if not any(v != u and v | u == v for v in unions)
+        }
+        if (1 << g.n) - 1 in frontier:
+            return g.n
+    return max(u.bit_count() for u in frontier)
+
+
+def omega_k(g, k):
+    """Maximum vertices in a union of k cliques, exactly."""
+    return alpha_k(complement(g), k)
 
 
 def is_comparability(g):

@@ -10,8 +10,6 @@ from polysat import (
     NoJointPartition,
     build_pj,
     ck_partition,
-    comparability_graph,
-    complement,
     conjugate,
     delta_sequence,
     dk,
@@ -24,13 +22,11 @@ from polysat import (
     is_k_saturated,
     is_polyunsaturated,
     is_strong_sperner,
-    omega_k,
-    pj_realizer,
     sequence_for,
     verify_realizer,
     width,
 )
-from oracles import dk_oracle
+from oracles import comparability_graph, complement, dk_oracle, omega_k
 from test_construct import all_valid_deltas
 from test_graphdual import dim2_samples
 
@@ -83,7 +79,7 @@ def test_acceptance_04_realizers_and_conjugate_complement():
     ok = True
     for j in range(1, 7):
         p, _ = build_pj(j)
-        ok &= verify_realizer(p, pj_realizer(j))
+        ok &= verify_realizer(p, p.realizer)
     for j in range(1, 5):
         p, _ = build_pj(j)
         q = conjugate(p)

@@ -354,6 +354,16 @@ def test_dual_explicit_and_bad_realizer(runner):
         runner, ["dual", "-", "--realizer", "2,1,0/0,1,2"], stdin=p
     )
     assert result.exit_code == 2
+    # --realizer is in the file's labels, as the file's own realizer is.
+    p = '{"n": 2, "covers": [[1, 0]]}'
+    result = invoke(
+        runner, ["dual", "-", "--realizer", "1,0/1,0", "--table"], stdin=p
+    )
+    assert result.exit_code == 0
+    result = invoke(
+        runner, ["dual", "-", "--realizer", "0,1/0,1", "--table"], stdin=p
+    )
+    assert result.exit_code == 2
 
 
 def test_enumerate(runner):

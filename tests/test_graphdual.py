@@ -3,28 +3,30 @@
 import pytest
 
 from polysat import (
-    Graph,
     Realizer,
-    alpha_k,
     antichain_poset,
     build_pj,
     chain_poset,
-    comparability_graph,
-    complement,
     conjugate,
     dk,
     feasible_dual_nac,
     feasible_nca,
     from_delta,
     height,
-    is_co_polyunsaturated,
-    omega_k,
-    pj_realizer,
+    is_polyunsaturated,
     verify_realizer,
 )
 from polysat.errors import BadParameters, InvalidRealizer
-from oracles import is_comparability, isomorphic
-from util import random_poset, seeded
+from oracles import (
+    Graph,
+    alpha_k,
+    comparability_graph,
+    complement,
+    is_comparability,
+    isomorphic,
+    omega_k,
+)
+from util import python_optimized, random_poset, seeded
 
 
 def dim2_samples():
@@ -77,14 +79,15 @@ def test_omega_examples():
 
 
 def test_pj_realizer_examples():
-    r1 = pj_realizer(1)
+    r1 = build_pj(1)[0].realizer
     assert r1.ext1 == r1.ext2
     p2, _ = build_pj(2)
-    r2 = pj_realizer(2)
+    r2 = p2.realizer
     assert [p2.name(x) for x in r2.ext1] == ["u", "s1", "r1", "t2.1", "s2", "r2"]
     assert [p2.name(x) for x in r2.ext2] == ["t2.1", "u", "s1", "s2", "r2", "r1"]
     for j in range(1, 5):
-        assert verify_realizer(build_pj(j)[0], pj_realizer(j))
+        p, _ = build_pj(j)
+        assert verify_realizer(p, p.realizer)
 
 
 def test_verify_realizer_examples():
@@ -137,10 +140,24 @@ def test_conjugate_chains_are_color_classes():
                     assert not g.has_edge(order[x], order[y])
 
 
+def test_conjugate_graph_invariant_survives_optimize_flag():
+    # A conjugate built with no relations fails the complement check, and
+    # python -O must not strip it.
+    result = python_optimized(
+        "from polysat import Poset, antichain_poset, graphdual\n"
+        "graphdual.Poset = lambda n, up, **kw: Poset(n, [0] * n, **kw)\n"
+        "graphdual.conjugate(antichain_poset(3))\n"
+    )
+    assert result.returncode != 0
+    assert "conjugate's graph is not the complement" in result.stderr
+
+
 def test_is_co_polyunsaturated_examples():
-    report = is_co_polyunsaturated(chain_poset(4))
+    # Polyunsaturation of the conjugate: saturated proper colorings of the
+    # comparability graph are saturated chain partitions of the conjugate.
+    report = is_polyunsaturated(conjugate(chain_poset(4)))
     assert report.c == 1 and report.conclusion
-    report = is_co_polyunsaturated(from_delta((2, 2, 1, 1)))
+    report = is_polyunsaturated(conjugate(from_delta((2, 2, 1, 1))))
     assert report.c == 2 and report.conclusion
 
 

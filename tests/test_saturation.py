@@ -1,14 +1,10 @@
 """k-norms, saturated partitions, and polyunsaturation verdicts."""
 
 import itertools
-import os
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings
 
-import polysat
 from polysat import (
     ChainPartition,
     NoJointPartition,
@@ -46,7 +42,7 @@ from oracles import (
     find_saturated_dp,
     is_polyunsaturated_per_pair,
 )
-from util import posets, random_poset, seeded
+from util import posets, python_optimized, random_poset, seeded
 
 
 def singletons(p):
@@ -397,14 +393,6 @@ def test_min_norm_invariant_survives_optimize_flag():
         "saturation.dk = lambda p, k: -1\n"
         "saturation.min_norm(build_pj(2)[0], 1)\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(polysat.__file__))
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    result = python_optimized(code)
     assert result.returncode != 0
     assert "Greene-Kleitman violated" in result.stderr

@@ -63,10 +63,18 @@ def bare():
             {"polysat.io", "polysat.saturation"},
             {"polysat.construct", "polysat.graphdual"},
         ),
+        pytest.param(
+            "dual --table",
+            {"polysat.io", "polysat.graphdual", "polysat.kfamily"},
+            {"polysat.saturation", "polysat.construct"},
+            id="dual-table",
+        ),
     ],
 )
 def test_command_loads_only_what_it_runs(bare, command, needed, absent):
-    result = python(RUN_CLI, command, "-", stdin=dumps(build_pj(3)[0]))
+    result = python(
+        RUN_CLI, *command.split(), "-", stdin=dumps(build_pj(3)[0])
+    )
     assert result.returncode == 0, result.stderr
     loaded = modules(result) - bare
     assert needed <= loaded

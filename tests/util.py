@@ -1,9 +1,13 @@
 """Shared helpers for the test suite."""
 
+import os
 import random
+import subprocess
+import sys
 
 from hypothesis import strategies as st
 
+import polysat
 from polysat.poset import Poset, bits
 
 
@@ -26,6 +30,20 @@ def random_poset(rng, n, prob=0.3):
 
 def seeded(seed=0):
     return random.Random(seed)
+
+
+def python_optimized(code):
+    """Run code under python -O, which strips assert statements, with this
+    polysat on the path; returns the completed process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(polysat.__file__))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
 
 
 @st.composite
