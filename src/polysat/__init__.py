@@ -14,13 +14,17 @@ _ORIGIN = {
         "construct": (
             "FeasibilityVerdict",
             "PjLabels",
+            "antichain_poset",
             "build_pj",
+            "chain_poset",
             "ck_partition",
+            "disjoint_union",
             "feasible_ca",
             "feasible_nc",
             "feasible_nca",
             "from_delta",
             "lower_bounds",
+            "ranks",
             "realize_nca",
             "sequence_for",
             "upper_bounds",
@@ -33,23 +37,18 @@ _ORIGIN = {
             "delta_sequence",
             "dk",
             "is_strong_sperner",
-            "max_kfamily",
         ),
         "poset": (
-            "Chain",
             "Poset",
             "Realizer",
-            "antichain_poset",
-            "chain_poset",
             "cover_relations",
-            "disjoint_union",
             "enumerate_posets",
             "from_covers",
             "height",
-            "ranks",
             "width",
         ),
         "saturation": (
+            "Chain",
             "ChainPartition",
             "NoJointPartition",
             "PolyunsatReport",
@@ -57,6 +56,7 @@ _ORIGIN = {
             "find_saturated",
             "is_k_saturated",
             "is_polyunsaturated",
+            "max_kfamily",
             "min_joint_norm",
             "min_norm",
             "mk",

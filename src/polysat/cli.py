@@ -183,7 +183,8 @@ def feasible(n, c, a, dual_side):
         sys.exit(0 if ok else 1)
     elif a is None and None not in (n, c):
         ok = construct.feasible_nc(n, c)
-        print("feasible" if ok else "infeasible: need n >= binom(c, 2)")
+        need = "c" if c <= 2 else "binom(c, 2)"
+        print("feasible" if ok else f"infeasible: need n >= {need}")
         sys.exit(0 if ok else 1)
     else:
         raise BadParameters("give --c plus --a and/or --n")

@@ -2,21 +2,22 @@
 
 build_pj makes the inductive tower of overlapping chains Q_1..Q_j (one new
 cover s_{j-1} <. s_j per stage); from_delta realizes any admissible
-difference sequence by the recursive disjoint-union construction.
+difference sequence by the recursive disjoint-union construction.  The
+chains and unions it joins, and the ranks that DOT export aligns, live
+here too, out of the modules that dk-table loads.
 """
 
 import math
 
-from .errors import BadK, BadParameters, Infeasible, InvalidDelta
+from .errors import BadK, BadParameters, EmptyPoset, Infeasible, InvalidDelta
 from .io import check_size
 from .kfamily import DeltaSequence
 from .poset import (
-    Chain,
+    Poset,
     Realizer,
     Value,
     _set,
-    chain_poset,
-    disjoint_union,
+    cover_relations,
     from_covers,
     height,
     width,
@@ -50,6 +51,87 @@ class FeasibilityVerdict(Value):
             raise ValueError("feasible iff no condition failed")
         _set(self, "feasible", feasible)
         _set(self, "failed_conditions", failed_conditions)
+
+
+def disjoint_union(p, q):
+    """Order with no relations between the two parts."""
+    if p is None or q is None:
+        raise EmptyPoset("disjoint_union needs two posets")
+    up = list(p.up) + [m << p.n for m in q.up]
+    names = None
+    if p.names is not None or q.names is not None:
+        names = [p.name(i) for i in range(p.n)] + [
+            q.name(i) for i in range(q.n)
+        ]
+    realizer = None
+    if p.realizer is not None and q.realizer is not None:
+        # New block appended in ext1, prepended in ext2: the parts stay
+        # incomparable while each part keeps its own certified realizer.
+        shift = p.n
+        realizer = Realizer(
+            ext1=p.realizer.ext1 + tuple(x + shift for x in q.realizer.ext1),
+            ext2=tuple(x + shift for x in q.realizer.ext2) + p.realizer.ext2,
+        )
+    return Poset(p.n + q.n, up, names=names, realizer=realizer)
+
+
+def chain_poset(t, names=None):
+    """A single chain of t elements, carrying the trivial realizer."""
+    up = [(((1 << t) - 1) >> (x + 1)) << (x + 1) for x in range(t)]
+    ext = tuple(range(t))
+    return Poset(t, up, names=names, realizer=Realizer(ext, ext))
+
+
+def antichain_poset(t, names=None):
+    ext = tuple(range(t))
+    return Poset(
+        t, [0] * t, names=names, realizer=Realizer(ext, tuple(reversed(ext)))
+    )
+
+
+def ranks(p):
+    """Rank classes bottom-up, or None if the poset is not ranked.
+
+    Ranked means: a function r with r(y) = r(x) + 1 on every cover x <. y,
+    normalized to minimum 0 within each connected component of the cover
+    graph.  Decided by BFS constraint propagation over covers.
+    """
+    covers = cover_relations(p)
+    up_adj = [[] for _ in range(p.n)]
+    down_adj = [[] for _ in range(p.n)]
+    for x, y in covers:
+        up_adj[x].append(y)
+        down_adj[y].append(x)
+    rank = [None] * p.n
+    for start in range(p.n):
+        if rank[start] is not None:
+            continue
+        rank[start] = 0
+        comp = [start]
+        queue = [start]
+        while queue:
+            x = queue.pop()
+            for y in up_adj[x]:
+                if rank[y] is None:
+                    rank[y] = rank[x] + 1
+                    comp.append(y)
+                    queue.append(y)
+                elif rank[y] != rank[x] + 1:
+                    return None
+            for y in down_adj[x]:
+                if rank[y] is None:
+                    rank[y] = rank[x] - 1
+                    comp.append(y)
+                    queue.append(y)
+                elif rank[y] != rank[x] - 1:
+                    return None
+        low = min(rank[x] for x in comp)
+        for x in comp:
+            rank[x] -= low
+    classes = [set() for _ in range(max(rank) + 1)]
+    for x in range(p.n):
+        classes[rank[x]].add(x)
+    return classes
 
 
 def build_pj(j):
@@ -104,7 +186,7 @@ def ck_partition(j, k):
     as a partition of the whole poset.  Both k- and k+1-saturated.
     """
     # Imported here, so the construct commands do not load the searches.
-    from .saturation import ChainPartition, is_k_saturated
+    from .saturation import Chain, ChainPartition, is_k_saturated
 
     p, labels = build_pj(j)
     if not 1 <= k <= j:
@@ -233,12 +315,11 @@ def feasible_ca(c, a):
 
 
 def feasible_nc(n, c):
-    """Existence with prescribed cardinality and height only."""
+    """Existence with prescribed cardinality and height only: a chain of
+    c elements, and for c >= 3 the binom(c, 2) of the smallest tower."""
     if c < 1 or n < 1:
         raise BadParameters("n and c must be positive")
-    if c <= 2:
-        return True
-    return n >= math.comb(c, 2)
+    return n >= max(c, math.comb(c, 2))
 
 
 def realize_nca(n, c, a):

@@ -8,7 +8,7 @@ pair list, so hand-written files need not be reduced.
 import json
 
 from .errors import BadParameters
-from .poset import Realizer, cover_relations, from_covers, ranks
+from .poset import Realizer, cover_relations, from_covers
 
 # Largest n the reader accepts.  A chain, whose relation is complete, is
 # the costliest poset to build: the transitivity check in Poset touches
@@ -88,6 +88,9 @@ def loads(text, realizer=None):
 
 def export_dot(p):
     """DOT digraph of the cover relations, rank-aligned when ranked."""
+    # Only the construct commands export DOT, and they have loaded it.
+    from .construct import ranks
+
     lines = ["digraph poset {", "  rankdir=BT;"]
     for x in range(p.n):
         label = p.name(x).replace("\\", "\\\\").replace('"', '\\"')

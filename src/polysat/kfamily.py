@@ -8,10 +8,9 @@ run, polynomial in n.
 """
 
 import heapq
-from collections import deque
 
 from .errors import BadK, InvalidDelta, NotRanked
-from .poset import Value, _set, bits, chain_lengths, ranks
+from .poset import Value, _set, bits, chain_lengths
 
 
 class DSequence(Value):
@@ -68,7 +67,7 @@ def chain_unions(p):
 
     At each f with e_f - e_{f-1} > max(e_{f+1} - e_f, 1), the f chains of
     the flow, a largest union of f chains, are kept in p.derived["chains"]
-    for max_kfamily; there are at most sqrt(2n) such f.
+    for saturation.max_kfamily; there are at most sqrt(2n) such f.
     """
     n = p.n
     src, snk = 2 * n, 2 * n + 1
@@ -167,90 +166,6 @@ def d_sequence(p):
     return seq
 
 
-def max_kfamily(p, k):
-    """A largest k-family of p, as a mask; all of p at or above the height.
-
-    Read off the dual of the flow (Frank 1980).  f = d_{k+1} - d_k is the
-    number of augmenting paths that gain more than k (Greene's theorem:
-    the two difference sequences are conjugate partitions), so f chains
-    are a cheapest flow when each chain costs k, and the flow kept a
-    largest union of f chains.  Let pi be shortest distances from
-    s in its residual network, every arc but x_in -> x_out uncapacitated,
-    with s -> x_in costing k and the return arc t -> s carrying the flow.
-    A_k is the set of x whose arc x_in -> x_out has nonnegative reduced
-    cost, pi(x_out) <= pi(x_in) - 1.  Along any chain pi starts at most k
-    at its lowest x_in, never rises, drops at each element of A_k and
-    ends at least pi(t) = 0, so A_k meets it in at most k elements;
-    complementary slackness gives |A_k| = d_k.  Both facts are checked,
-    and a failure raises AssertionError.
-    """
-    if k < 1:
-        raise BadK("k must be positive")
-    seq = d_sequence(p)
-    n = p.n
-    if k >= len(seq.d):
-        return (1 << n) - 1
-    chains = p.derived["chains"][seq.d[k] - seq.d[k - 1]]
-    # Node 2x is x_in, 2x+1 is x_out and 2n is t.  s is not a node: it
-    # starts every x_in at k and t at 0.  No distance exceeds k, so k + 1
-    # marks a node not yet reached.  prv[y] is the element before y on its
-    # chain; ends are the chains' top elements.
-    covered = 0
-    prv = [None] * n
-    for chain in chains:
-        for x, y in zip(chain, chain[1:]):
-            prv[y] = x
-        for x in chain:
-            covered |= 1 << x
-    ends = [chain[-1] for chain in chains]
-    snk = 2 * n
-    dist = [k, k + 1] * n + [0]
-    queue = deque(range(0, 2 * n, 2))
-    queue.append(snk)
-    queued = [True, False] * n + [True]
-    while queue:
-        u = queue.popleft()
-        queued[u] = False
-        x = u >> 1
-        if u == snk:
-            arcs = [(2 * y + 1, 0) for y in ends]
-        elif not u & 1:
-            if not covered >> x & 1:
-                arcs = [(u + 1, -1)]
-            else:
-                arcs = [] if prv[x] is None else [(2 * prv[x] + 1, 0)]
-        else:
-            arcs = [(2 * y, 0) for y in bits(p.up[x])]
-            arcs.append((snk, 0))
-            if covered >> x & 1:
-                arcs.append((u - 1, 1))
-        for v, cost in arcs:
-            if dist[u] + cost < dist[v]:
-                dist[v] = dist[u] + cost
-                if not queued[v]:
-                    queued[v] = True
-                    queue.append(v)
-    family = 0
-    for x in range(n):
-        if dist[2 * x + 1] <= dist[2 * x] - 1:
-            family |= 1 << x
-    _check_kfamily(p, k, family, seq.d[k - 1])
-    return family
-
-
-def _check_kfamily(p, k, family, size):
-    """Raise unless family has size elements and no chain of k + 1."""
-    if family.bit_count() != size:
-        raise AssertionError("k-family from the flow has the wrong size")
-    longest = [0] * p.n
-    for y in bits(family):
-        longest[y] = 1 + max(
-            (longest[x] for x in bits(p.down[y] & family)), default=0
-        )
-        if longest[y] > k:
-            raise AssertionError("k-family from the flow has a long chain")
-
-
 def dk(p, k):
     """Size of a largest k-family; n for every k at or above the height."""
     if k < 1:
@@ -264,6 +179,9 @@ def delta_sequence(p):
 
 def is_strong_sperner(p):
     """True iff the k largest ranks form a maximum k-family for every k."""
+    # Imported here, so dk-table, which runs no ranking, does not load it.
+    from .construct import ranks
+
     classes = ranks(p)
     if classes is None:
         raise NotRanked("poset has no consistent rank function")

@@ -7,7 +7,6 @@ may always extend chains upward in index.
 """
 
 import heapq
-import itertools
 
 from .errors import (
     CycleDetected,
@@ -157,29 +156,6 @@ class Poset:
         return f"Poset(n={self.n}, covers={cover_relations(self)})"
 
 
-class Chain(Value):
-    """A chain given by strictly index-increasing element indices."""
-
-    __slots__ = ("elems",)
-
-    def __init__(self, elems):
-        if any(a >= b for a, b in zip(elems, elems[1:])):
-            raise ValueError("chain indices must strictly increase")
-        _set(self, "elems", elems)
-
-    def __len__(self):
-        return len(self.elems)
-
-    def is_valid(self, p):
-        return all(p.less(a, b) for a, b in zip(self.elems, self.elems[1:]))
-
-    def mask(self):
-        m = 0
-        for x in self.elems:
-            m |= 1 << x
-        return m
-
-
 def from_covers(n, covers, names=None, realizer=None):
     """Close an acyclic cover list and relabel topologically.
 
@@ -281,138 +257,6 @@ def width(p):
     return p.n - matching
 
 
-def disjoint_union(p, q):
-    """Order with no relations between the two parts."""
-    if p is None or q is None:
-        raise EmptyPoset("disjoint_union needs two posets")
-    up = list(p.up) + [m << p.n for m in q.up]
-    names = None
-    if p.names is not None or q.names is not None:
-        names = [p.name(i) for i in range(p.n)] + [
-            q.name(i) for i in range(q.n)
-        ]
-    realizer = None
-    if p.realizer is not None and q.realizer is not None:
-        # New block appended in ext1, prepended in ext2: the parts stay
-        # incomparable while each part keeps its own certified realizer.
-        shift = p.n
-        realizer = Realizer(
-            ext1=p.realizer.ext1 + tuple(x + shift for x in q.realizer.ext1),
-            ext2=tuple(x + shift for x in q.realizer.ext2) + p.realizer.ext2,
-        )
-    return Poset(p.n + q.n, up, names=names, realizer=realizer)
-
-
-def chain_poset(t, names=None):
-    """A single chain of t elements, carrying the trivial realizer."""
-    up = [(((1 << t) - 1) >> (x + 1)) << (x + 1) for x in range(t)]
-    ext = tuple(range(t))
-    return Poset(t, up, names=names, realizer=Realizer(ext, ext))
-
-
-def antichain_poset(t, names=None):
-    ext = tuple(range(t))
-    return Poset(
-        t, [0] * t, names=names, realizer=Realizer(ext, tuple(reversed(ext)))
-    )
-
-
-def ranks(p):
-    """Rank classes bottom-up, or None if the poset is not ranked.
-
-    Ranked means: a function r with r(y) = r(x) + 1 on every cover x <. y,
-    normalized to minimum 0 within each connected component of the cover
-    graph.  Decided by BFS constraint propagation over covers.
-    """
-    covers = cover_relations(p)
-    up_adj = [[] for _ in range(p.n)]
-    down_adj = [[] for _ in range(p.n)]
-    for x, y in covers:
-        up_adj[x].append(y)
-        down_adj[y].append(x)
-    rank = [None] * p.n
-    for start in range(p.n):
-        if rank[start] is not None:
-            continue
-        rank[start] = 0
-        comp = [start]
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y in up_adj[x]:
-                if rank[y] is None:
-                    rank[y] = rank[x] + 1
-                    comp.append(y)
-                    queue.append(y)
-                elif rank[y] != rank[x] + 1:
-                    return None
-            for y in down_adj[x]:
-                if rank[y] is None:
-                    rank[y] = rank[x] - 1
-                    comp.append(y)
-                    queue.append(y)
-                elif rank[y] != rank[x] - 1:
-                    return None
-        low = min(rank[x] for x in comp)
-        for x in comp:
-            rank[x] -= low
-    classes = [set() for _ in range(max(rank) + 1)]
-    for x in range(p.n):
-        classes[rank[x]].add(x)
-    return classes
-
-
-def _invariants(p, rounds=3):
-    """Per-element structural invariants, comparable across posets.
-
-    Nested tuples built by a fixed number of refinement rounds; label
-    independent, so equal values may merge distinct orbits (the search
-    below stays correct, just with larger blocks).
-    """
-    inv = [(p.down[x].bit_count(), p.up[x].bit_count()) for x in range(p.n)]
-    for _ in range(rounds):
-        inv = [
-            (
-                inv[x],
-                tuple(sorted(inv[y] for y in bits(p.down[x]))),
-                tuple(sorted(inv[y] for y in bits(p.up[x]))),
-            )
-            for x in range(p.n)
-        ]
-    return inv
-
-
-def canonical_key(p):
-    """A relabeling-invariant key; equal keys iff isomorphic.
-
-    Minimizes the relation matrix over permutations that respect the
-    refined invariant classes.  Intended for n <= ENUM_LIMIT.
-    """
-    inv = _invariants(p)
-    classes = {}
-    for x in range(p.n):
-        classes.setdefault(inv[x], []).append(x)
-    blocks = [classes[lab] for lab in sorted(classes)]
-    best = None
-    for perms in itertools.product(
-        *(itertools.permutations(block) for block in blocks)
-    ):
-        old_order = [x for block in perms for x in block]
-        newidx = [0] * p.n
-        for pos, x in enumerate(old_order):
-            newidx[x] = pos
-        key = []
-        for x in old_order:
-            row = 0
-            for y in bits(p.up[x]):
-                row |= 1 << newidx[y]
-            key.append(row)
-        key = tuple(key)
-        if best is None or key < best:
-            best = key
-    return best
-
-
 def enumerate_posets(n):
     """One representative per isomorphism class of n-element posets.
 
@@ -424,6 +268,9 @@ def enumerate_posets(n):
         raise EmptyPoset("need n >= 1")
     if n > ENUM_LIMIT:
         raise SizeLimitExceeded(f"enumeration limited to n<={ENUM_LIMIT}")
+    # Imported here, so the commands that enumerate nothing do not load it.
+    from .canonical import canonical_key
+
     seen = set()
     downs = [0] * n
 

@@ -6,14 +6,14 @@ partition is met once, and a memo on the uncovered mask bounds the work
 by 2^n states.
 
 is_polyunsaturated, behind certify and dual, settles a pair (k, l) by
-orthogonality (Greene and Kleitman 1976).  Take one largest k-family A_k
-(kfamily.max_kfamily).  A chain C meets it in at most min(k, |C|)
-elements, and over any partition these counts add up to |A_k| = d_k, so
-a partition is k-saturated iff each of its chains meets A_k in exactly
-min(k, |C|).  A partition saturated for both k and l therefore exists
-iff the ground set has a cover by chains orthogonal to A_k and to A_l.
-The search for one skips every other chain and keeps one answer per
-mask.
+orthogonality (Greene and Kleitman 1976).  Take one largest k-family A_k,
+which max_kfamily reads off the d sequence's flow.  A chain C meets it in
+at most min(k, |C|) elements, and over any partition these counts add up
+to |A_k| = d_k, so a partition is k-saturated iff each of its chains
+meets A_k in exactly min(k, |C|).  A partition saturated for both k and
+l therefore exists iff the ground set has a cover by chains orthogonal
+to A_k and to A_l.  The search for one skips every other chain and keeps
+one answer per mask.
 
 A refuted pair is reported with its minimum m_k + m_l, which no existence
 search gives.  One exact DP computes them all: every pair's DP expands
@@ -34,6 +34,7 @@ which is how find_saturated answers the DP's question with a cover.
 """
 
 import time
+from collections import deque
 from operator import add
 
 from .errors import (
@@ -43,14 +44,37 @@ from .errors import (
     PartitionMismatch,
     SizeLimitExceeded,
 )
-from .kfamily import d_sequence, dk, max_kfamily
-from .poset import Chain, Value, _set, bits
+from .kfamily import d_sequence, dk
+from .poset import Value, _set, bits
 
 DEFAULT_LIMIT_N = 16
 HARD_LIMIT_N = 24
 # Seconds a search may take when the caller names no budget; budget_s=None
 # lifts the bound.
 DEFAULT_BUDGET_S = 600.0
+
+
+class Chain(Value):
+    """A chain given by strictly index-increasing element indices."""
+
+    __slots__ = ("elems",)
+
+    def __init__(self, elems):
+        if any(a >= b for a, b in zip(elems, elems[1:])):
+            raise ValueError("chain indices must strictly increase")
+        _set(self, "elems", elems)
+
+    def __len__(self):
+        return len(self.elems)
+
+    def is_valid(self, p):
+        return all(p.less(a, b) for a, b in zip(self.elems, self.elems[1:]))
+
+    def mask(self):
+        m = 0
+        for x in self.elems:
+            m |= 1 << x
+        return m
 
 
 class ChainPartition(Value):
@@ -122,6 +146,90 @@ def is_k_saturated(p, cp, k):
     if cp.poset != p:
         raise PartitionMismatch("partition belongs to a different poset")
     return mk(cp, k) == dk(p, k)
+
+
+def max_kfamily(p, k):
+    """A largest k-family of p, as a mask; all of p at or above the height.
+
+    Read off the dual of the flow that kfamily.d_sequence runs (Frank 1980).
+    f = d_{k+1} - d_k is the number of augmenting paths that gain more than
+    k (Greene's theorem: the two difference sequences are conjugate
+    partitions), so f chains are a cheapest flow when each chain costs k,
+    and the flow kept a largest union of f chains.  Let pi be shortest
+    distances from s in its residual network, every arc but x_in -> x_out
+    uncapacitated, with s -> x_in costing k and the return arc t -> s
+    carrying the flow.  A_k is the set of x whose arc x_in -> x_out has
+    nonnegative reduced cost, pi(x_out) <= pi(x_in) - 1.  Along any chain pi
+    starts at most k at its lowest x_in, never rises, drops at each element
+    of A_k and ends at least pi(t) = 0, so A_k meets it in at most k
+    elements; complementary slackness gives |A_k| = d_k.  Both facts are
+    checked, and a failure raises AssertionError.
+    """
+    if k < 1:
+        raise BadK("k must be positive")
+    seq = d_sequence(p)
+    n = p.n
+    if k >= len(seq.d):
+        return (1 << n) - 1
+    chains = p.derived["chains"][seq.d[k] - seq.d[k - 1]]
+    # Node 2x is x_in, 2x+1 is x_out and 2n is t.  s is not a node: it
+    # starts every x_in at k and t at 0.  No distance exceeds k, so k + 1
+    # marks a node not yet reached.  prv[y] is the element before y on its
+    # chain; ends are the chains' top elements.
+    covered = 0
+    prv = [None] * n
+    for chain in chains:
+        for x, y in zip(chain, chain[1:]):
+            prv[y] = x
+        for x in chain:
+            covered |= 1 << x
+    ends = [chain[-1] for chain in chains]
+    snk = 2 * n
+    dist = [k, k + 1] * n + [0]
+    queue = deque(range(0, 2 * n, 2))
+    queue.append(snk)
+    queued = [True, False] * n + [True]
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        x = u >> 1
+        if u == snk:
+            arcs = [(2 * y + 1, 0) for y in ends]
+        elif not u & 1:
+            if not covered >> x & 1:
+                arcs = [(u + 1, -1)]
+            else:
+                arcs = [] if prv[x] is None else [(2 * prv[x] + 1, 0)]
+        else:
+            arcs = [(2 * y, 0) for y in bits(p.up[x])]
+            arcs.append((snk, 0))
+            if covered >> x & 1:
+                arcs.append((u - 1, 1))
+        for v, cost in arcs:
+            if dist[u] + cost < dist[v]:
+                dist[v] = dist[u] + cost
+                if not queued[v]:
+                    queued[v] = True
+                    queue.append(v)
+    family = 0
+    for x in range(n):
+        if dist[2 * x + 1] <= dist[2 * x] - 1:
+            family |= 1 << x
+    _check_kfamily(p, k, family, seq.d[k - 1])
+    return family
+
+
+def _check_kfamily(p, k, family, size):
+    """Raise unless family has size elements and no chain of k + 1."""
+    if family.bit_count() != size:
+        raise AssertionError("k-family from the flow has the wrong size")
+    longest = [0] * p.n
+    for y in bits(family):
+        longest[y] = 1 + max(
+            (longest[x] for x in bits(p.down[y] & family)), default=0
+        )
+        if longest[y] > k:
+            raise AssertionError("k-family from the flow has a long chain")
 
 
 class _NormSearch:

@@ -18,10 +18,12 @@ backtracking.
 import itertools
 
 from polysat.errors import BadK, SizeLimitExceeded
-from polysat.poset import Chain, Value, _invariants, _set, bits, height
+from polysat.poset import Value, _set, bits, height
+from polysat.canonical import _invariants
 from polysat.kfamily import d_sequence
 from polysat.saturation import (
     DEFAULT_LIMIT_N,
+    Chain,
     ChainPartition,
     NoJointPartition,
     PolyunsatReport,

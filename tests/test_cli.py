@@ -387,6 +387,12 @@ def test_feasible_exit_codes(runner):
     assert result.exit_code == 1
     result = invoke(runner, ["feasible", "--n", "10", "--c", "5"])
     assert result.exit_code == 0
+    result = invoke(runner, ["feasible", "--n", "9", "--c", "5"])
+    assert result.exit_code == 1
+    assert result.output == "infeasible: need n >= binom(c, 2)\n"
+    result = invoke(runner, ["feasible", "--n", "1", "--c", "2"])
+    assert result.exit_code == 1
+    assert result.output == "infeasible: need n >= c\n"
     result = invoke(
         runner,
         ["feasible", "--n", "10", "--a", "5", "--c", "3", "--dual"],

@@ -9,6 +9,7 @@ from polysat import (
     ck_partition,
     delta_sequence,
     dk,
+    enumerate_posets,
     feasible_ca,
     feasible_nc,
     feasible_nca,
@@ -16,6 +17,7 @@ from polysat import (
     from_delta,
     height,
     is_k_saturated,
+    is_polyunsaturated,
     lower_bounds,
     mk,
     realize_nca,
@@ -204,3 +206,19 @@ def test_realize_nca_round_trip():
                 assert p.n == n
                 assert height(p) == c
                 assert width(p) == a
+
+
+def test_feasible_nc_ca_against_every_small_poset():
+    # feasible_nc is exact and feasible_ca necessary on every poset with
+    # at most 6 elements.
+    found = set()
+    for n in range(1, 7):
+        for p in enumerate_posets(n):
+            if is_polyunsaturated(p).conclusion:
+                found.add((n, height(p), width(p)))
+    for n in range(1, 7):
+        for c in range(1, 8):
+            exists = any(m == n and h == c for m, h, _ in found)
+            assert feasible_nc(n, c) == exists, (n, c)
+    for _, c, a in found:
+        assert feasible_ca(c, a), (c, a)

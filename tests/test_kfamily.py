@@ -21,7 +21,8 @@ from polysat import (
     width,
 )
 from polysat.errors import NotRanked
-from polysat.kfamily import chain_unions, max_kfamily
+from polysat.kfamily import chain_unions
+from polysat.saturation import max_kfamily
 from oracles import dk_branch_and_bound, dk_oracle
 from util import posets, random_poset, seeded
 

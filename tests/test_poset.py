@@ -25,10 +25,10 @@ from polysat.errors import (
     InvalidRealizer,
     SizeLimitExceeded,
 )
-from polysat.poset import Chain, Poset, Realizer
+from polysat.poset import Poset, Realizer
 from polysat.kfamily import DeltaSequence, DSequence
 from polysat.construct import PjLabels
-from polysat.saturation import PolyunsatReport
+from polysat.saturation import Chain, PolyunsatReport
 from oracles import isomorphic, width_bruteforce
 from util import random_poset, seeded
 

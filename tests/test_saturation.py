@@ -35,8 +35,8 @@ from polysat.errors import (
     SizeLimitExceeded,
 )
 from polysat.graphdual import conjugate
-from polysat.poset import Chain, Poset
-from polysat.saturation import DEFAULT_LIMIT_N
+from polysat.poset import Poset
+from polysat.saturation import DEFAULT_LIMIT_N, Chain
 from oracles import (
     enumerate_chain_partitions,
     find_saturated_dp,

@@ -5,7 +5,9 @@ interpreter, and the modules it loaded are compared with what a bare
 interpreter of the same environment has loaded on its own.
 """
 
+import functools
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -26,6 +28,7 @@ RUN_CLI = (
 )
 BARE = "import sys; sys.stderr.write('\\nmodules: ' + ' '.join(sys.modules))"
 NEVER = {"click", "dataclasses", "inspect"}
+SRC = pathlib.Path(polysat.__file__).parent
 
 
 def python(code, *args, stdin=None):
@@ -50,13 +53,40 @@ def bare():
     return modules(python(BARE))
 
 
+@functools.lru_cache(maxsize=None)
+def launch(command):
+    """Run one command with P_3 on stdin, which the commands that read a
+    poset read by default: (exit code, stderr, the modules it loaded)."""
+    result = python(RUN_CLI, *command.split(), stdin=dumps(build_pj(3)[0]))
+    return result.returncode, result.stderr, modules(result)
+
+
+def source_lines(loaded):
+    """Lines of polysat source a process compiled: the modules it loaded,
+    and cli.py, which runpy runs as __main__ rather than as polysat.cli."""
+    files = {"cli.py"}
+    for name in loaded:
+        if name == "polysat":
+            files.add("__init__.py")
+        elif name.startswith("polysat."):
+            files.add(name.split(".")[1] + ".py")
+    return sum(
+        (SRC / name).read_text(encoding="utf-8").count("\n") for name in files
+    )
+
+
 @pytest.mark.parametrize(
     "command, needed, absent",
     [
         (
             "dk-table",
             {"polysat.io", "polysat.kfamily", "polysat.poset"},
-            {"polysat.saturation", "polysat.construct", "polysat.graphdual"},
+            {
+                "polysat.saturation",
+                "polysat.construct",
+                "polysat.graphdual",
+                "polysat.canonical",
+            },
         ),
         (
             "certify",
@@ -69,16 +99,59 @@ def bare():
             {"polysat.saturation", "polysat.construct"},
             id="dual-table",
         ),
+        pytest.param(
+            "saturate --ks 1,2",
+            {"polysat.io", "polysat.saturation", "polysat.kfamily"},
+            {"polysat.construct", "polysat.graphdual", "polysat.canonical"},
+            id="saturate",
+        ),
+        pytest.param(
+            "construct pj --j 3 --dot",
+            {"polysat.io", "polysat.construct", "polysat.kfamily"},
+            {"polysat.saturation", "polysat.graphdual", "polysat.canonical"},
+            id="construct",
+        ),
+        pytest.param(
+            "enumerate --n 3",
+            {"polysat.io", "polysat.poset", "polysat.canonical"},
+            {
+                "polysat.kfamily",
+                "polysat.saturation",
+                "polysat.construct",
+                "polysat.graphdual",
+            },
+            id="enumerate",
+        ),
     ],
 )
 def test_command_loads_only_what_it_runs(bare, command, needed, absent):
-    result = python(
-        RUN_CLI, *command.split(), "-", stdin=dumps(build_pj(3)[0])
-    )
-    assert result.returncode == 0, result.stderr
-    loaded = modules(result) - bare
+    code, stderr, loaded = launch(command)
+    assert code == 0, stderr
+    loaded -= bare
     assert needed <= loaded
     assert not loaded & (NEVER | absent)
+
+
+# The most polysat source lines each command may compile, as each process
+# compiles them from source when no bytecode is cached.  dk-table reads a
+# poset and runs one flow, and code it never calls lives elsewhere; the
+# other ceilings are the counts before that code left poset and kfamily.
+@pytest.mark.parametrize(
+    "command, ceiling",
+    [
+        ("dk-table", 1180),
+        ("certify", 1680),
+        ("saturate --ks 1,2", 1680),
+        ("dual --table", 1418),
+        ("construct pj --j 3", 1578),
+        ("enumerate --n 3", 1051),
+        ("feasible --n 6 --c 4 --a 2", 1578),
+    ],
+)
+def test_command_compiles_bounded_source(command, ceiling):
+    code, stderr, loaded = launch(command)
+    assert code == 0, stderr
+    assert source_lines(loaded) <= ceiling
 
 
 @pytest.mark.parametrize("args", [[], ["construct"]])
