@@ -5,37 +5,35 @@ uncovered element is branched on, smaller successors first, so each chain
 partition is met once, and a memo on the uncovered mask bounds the work
 by 2^n states.
 
-is_polyunsaturated, behind certify and dual, settles a pair (k, l) by
-orthogonality (Greene and Kleitman 1976).  Take one largest k-family A_k,
-which max_kfamily reads off the d sequence's flow.  A chain C meets it in
-at most min(k, |C|) elements, and over any partition these counts add up
-to |A_k| = d_k, so a partition is k-saturated iff each of its chains
-meets A_k in exactly min(k, |C|).  A partition saturated for both k and
-l therefore exists iff the ground set has a cover by chains orthogonal
-to A_k and to A_l.  The search for one skips every other chain and keeps
-one answer per mask.
+The searches rest on orthogonality (Greene and Kleitman 1976).  Take one
+largest k-family A_k, which max_kfamily reads off the d sequence's flow.
+A chain C meets it in at most min(k, |C|) elements; call the shortfall
+min(k, |C|) - |C & A_k| the defect of C.  Over any partition the meets
+add up to |A_k| = d_k, so m_k = d_k + the sum of the defects, and a
+partition is k-saturated iff none of its chains has a defect.  Against
+several families at once the defects and the d_k add up alike.
 
-A refuted pair is reported with its minimum m_k + m_l, which no existence
-search gives.  One exact DP computes them all: every pair's DP expands
-the same masks, so one memo holds, per mask, a tuple with one minimum per
-refuted pair.  min_norm and min_joint_norm run the same DP with a single
-objective; find_saturated is one orthogonal search, for every k it is
-given at once.
+So one search answers every question.  cover finds the first partition
+in walk order whose total defect is at most a given slack.  find_saturated
+and min_norm ask for slack 0.  is_polyunsaturated, behind certify and
+dual, and min_joint_norm deepen: against A_k and A_l they try slack 0, 1,
+2, ... and stop at the least slack s with a cover.  s = 0 gives a witness;
+otherwise no partition is saturated for both k and l, and the least
+m_k + m_l is d_k + d_l + s.
 
-The witness of an orthogonal cover is the one the DP would give, so the
-output does not depend on which search found it.  Take a mask whose
-minimum joint norm equals its share of |A_k| + |A_l|, as the full set's
-does when a witness exists.  A chain's k- and l-norms are at least its
-share, and so is the minimum on what the chain leaves.  So a move
-reaches the DP's minimum iff its chain is orthogonal and the rest has an
-orthogonal cover, and the first such move in walk order, which both
-searches take, is the same chain.  The argument holds for any set of k,
-which is how find_saturated answers the DP's question with a cover.
+The cover is the partition an exact DP minimizing the summed norms would
+give, so the output does not depend on which search found it.  The
+identity holds on every mask Q with |A_k & Q| in place of d_k, so the
+minimum over Q is the families' share of Q plus the least defect over Q.
+At the least slack s, a chain C starts a cover iff defect(C) plus the
+least defect of what C leaves is at most s, so equal to s: that is the
+DP's condition for C to start a minimizer, and the first such chain in
+walk order, which both take, is the same.  The rest is searched with
+exactly its least defect as slack, so the argument repeats down to the
+empty mask.
 """
-
 import time
 from collections import deque
-from operator import add
 
 from .errors import (
     BadK,
@@ -233,11 +231,10 @@ def _check_kfamily(p, k, family, size):
 
 
 class _NormSearch:
-    """Exact searches over the chain partitions of p, all on one walk.
+    """Cover searches over the chain partitions of p, all on one walk.
 
-    cover looks for a partition into chains orthogonal to given
-    k-families; minima runs the shared DP.  Both stop at the deadline,
-    and states counts the masks they expand.
+    cover looks for a partition within a slack of given k-families.  It
+    stops at the deadline, and states counts the masks it expands.
     """
 
     def __init__(self, p, deadline):
@@ -271,82 +268,69 @@ class _NormSearch:
                 stack.append((j, rest & ~(1 << j), size + 1))
         return out
 
-    def cover(self, families, phase):
-        """The first partition in walk order whose every chain C meets each
-        A of (k, A) in families in min(k, |C|) elements, or None."""
-        # memo maps a mask to what is left of it after the first chain of
-        # its first such cover, or to None if it has no such cover.
-        memo = {0: 0}
+    def cover(self, families, phase, slack=0):
+        """The first partition in walk order whose chains C miss the A of
+        every (k, A) in families by at most slack in all, counting
+        min(k, |C|) - |C & A| for each, or None."""
+        # memos[b] maps a mask to what is left of it after the first chain
+        # of its first cover within slack b, with the slack left for that
+        # rest, or to None if it has no such cover.
+        memos = [{0: 0} for _ in range(slack + 1)]
         meets = [
             ([min(k, s) for s in range(self.p.n + 1)], family)
             for k, family in families
         ]
 
-        def first(mask):
+        def first(mask, budget):
+            memo = memos[budget]
             if mask in memo:
                 return memo[mask]
             self.visit(phase)
             found = None
             for size, rest in self.chains(mask):
                 chain = mask & ~rest
+                left = budget
                 for need, family in meets:
-                    if (chain & family).bit_count() != need[size]:
+                    left -= need[size] - (chain & family).bit_count()
+                    if left < 0:
                         break
                 else:
-                    if first(rest) is not None:
-                        found = rest
+                    if first(rest, left) is not None:
+                        found = rest, left
                         break
             memo[mask] = found
             return found
 
-        if first(self.full) is None:
+        if first(self.full, slack) is None:
             return None
-        return self._partition(memo.__getitem__)
-
-    def minima(self, objectives, phase):
-        """For every ks in objectives, the minimum of sum_{k in ks} m_k
-        over all chain partitions, all from one memo over masks."""
-        self.phase = phase
-        self.contrib = [
-            tuple(sum(min(k, s) for k in ks) for ks in objectives)
-            for s in range(self.p.n + 1)
-        ]
-        self.memo = {0: (0,) * len(objectives)}
-        return self.minimum(self.full)
-
-    def minimum(self, mask):
-        value = self.memo.get(mask)
-        if value is None:
-            self.visit(self.phase)
-            sums = [
-                map(add, self.contrib[size], self.minimum(rest))
-                for size, rest in self.chains(mask)
-            ]
-            value = self.memo[mask] = tuple(map(min, zip(*sums)))
-        return value
-
-    def witness(self, i):
-        """The first partition in walk order attaining the i-th minimum."""
-
-        def rest_of(mask):
-            target = self.minimum(mask)[i]
-            return next(
-                rest
-                for size, rest in self.chains(mask)
-                if self.contrib[size][i] + self.minimum(rest)[i] == target
-            )
-
-        return self._partition(rest_of)
-
-    def _partition(self, rest_of):
-        """The partition whose chains rest_of peels off the full set."""
         chains = []
-        mask = self.full
+        mask, left = self.full, slack
         while mask:
-            rest = rest_of(mask)
+            rest, left = memos[left][mask]
             chains.append(Chain(tuple(bits(mask & ~rest))))
             mask = rest
         return ChainPartition(self.p, tuple(chains))
+
+
+def _least_slack(search, families, norm, phase):
+    """(s, partition): the least slack s at which search has a cover
+    against families, and its first cover.
+
+    norm is the sum of d_k over the families' k; the cover's summed
+    k-norms must be norm + s, and a mismatch is a bug in a k-family or the
+    search and raises AssertionError.
+    """
+    slack = 0
+    while True:
+        partition = search.cover(families, f"{phase} at slack {slack}", slack)
+        if partition is not None:
+            break
+        slack += 1
+    if sum(mk(partition, k) for k, _ in families) != norm + slack:
+        raise AssertionError(
+            "defect identity violated: bug in a k-family or the search"
+        )
+    return slack, partition
 
 
 def _start(p, limit_n, budget_s):
@@ -370,23 +354,22 @@ def _start(p, limit_n, budget_s):
     return time.monotonic() + budget_s
 
 
-def _minimize(p, ks, deadline):
-    """Minimum of sum_{k in ks} m_k, with one minimizing partition."""
-    search = _NormSearch(p, deadline)
-    (value,) = search.minima((tuple(ks),), f"DP for k in {tuple(ks)}")
-    return value, search.witness(0)
-
-
 def min_norm(p, k, limit_n=DEFAULT_LIMIT_N, budget_s=DEFAULT_BUDGET_S):
     """Minimum m_k over all chain partitions, with one minimizer.
 
-    By Greene-Kleitman the value equals d_k; a mismatch is a bug and
-    raises AssertionError.
+    By Greene-Kleitman the value is d_k, which the covers by chains
+    orthogonal to A_k attain; the first in walk order is returned.  A
+    missing cover or one of another k-norm is a bug and raises
+    AssertionError.
     """
     if k < 1:
         raise BadK("k must be positive")
-    value, partition = _minimize(p, (k,), _start(p, limit_n, budget_s))
-    if value != dk(p, k):
+    search = _NormSearch(p, _start(p, limit_n, budget_s))
+    value = dk(p, k)
+    partition = search.cover(
+        [(k, max_kfamily(p, k))], f"orthogonal search for k in {(k,)}"
+    )
+    if partition is None or mk(partition, k) != value:
         raise AssertionError("Greene-Kleitman violated: bug in dk or search")
     return value, partition
 
@@ -394,10 +377,19 @@ def min_norm(p, k, limit_n=DEFAULT_LIMIT_N, budget_s=DEFAULT_BUDGET_S):
 def min_joint_norm(
     p, k, l, limit_n=DEFAULT_LIMIT_N, budget_s=DEFAULT_BUDGET_S
 ):
-    """Minimum m_k + m_l over all chain partitions, with one minimizer."""
+    """Minimum m_k + m_l over all chain partitions, with one minimizer:
+    d_k + d_l plus the least slack of a cover against A_k and A_l."""
     if not 1 <= k < l:
         raise BadK("need 1 <= k < l")
-    return _minimize(p, (k, l), _start(p, limit_n, budget_s))
+    search = _NormSearch(p, _start(p, limit_n, budget_s))
+    norm = dk(p, k) + dk(p, l)
+    slack, partition = _least_slack(
+        search,
+        [(k, max_kfamily(p, k)), (l, max_kfamily(p, l))],
+        norm,
+        f"orthogonal search for k in {(k, l)}",
+    )
+    return norm + slack, partition
 
 
 def find_saturated(
@@ -425,10 +417,10 @@ def is_polyunsaturated(
 ):
     """Per-pair verdicts for all nonconsecutive k < l < height.
 
-    Each pair is settled by a search for a cover by chains orthogonal to
-    A_k and A_l; one DP then gives the minimum joint norms of all refuted
-    pairs.  Vacuously polyunsaturated when the height is below 4.
-    budget_s bounds the whole call, not each pair.
+    Each pair is settled by deepening a cover search against A_k and A_l:
+    a cover at slack 0 is its witness, and a least slack s >= 1 refutes it
+    with minimum joint norm d_k + d_l + s.  Vacuously polyunsaturated when
+    the height is below 4.  budget_s bounds the whole call, not each pair.
     """
     deadline = _start(p, limit_n, budget_s)
     d = d_sequence(p).d
@@ -439,22 +431,18 @@ def is_polyunsaturated(
     search = _NormSearch(p, deadline)
     verdicts = {}
     for k, l in pairs:
-        partition = search.cover(
+        norm = d[k - 1] + d[l - 1]
+        slack, partition = _least_slack(
+            search,
             ((k, families[k]), (l, families[l])),
+            norm,
             f"orthogonal search for pair ({k}, {l})",
         )
-        if partition is not None:
+        if slack:
+            verdicts[(k, l)] = NoJointPartition(norm + slack)
+        else:
             verdicts[(k, l)] = Witness(partition)
-    refuted = [pair for pair in pairs if pair not in verdicts]
-    if refuted:
-        minima = search.minima(
-            refuted, f"shared DP over {len(refuted)} refuted pairs"
-        )
-        for (k, l), value in zip(refuted, minima):
-            if value <= d[k - 1] + d[l - 1]:
-                raise AssertionError(
-                    "orthogonality violated: bug in a k-family or the search"
-                )
-            verdicts[(k, l)] = NoJointPartition(value)
-    conclusion = len(refuted) == len(pairs)
+    conclusion = all(
+        isinstance(v, NoJointPartition) for v in verdicts.values()
+    )
     return PolyunsatReport(d=d, pair_verdicts=verdicts, conclusion=conclusion)

@@ -9,8 +9,9 @@ conjugate's graph by exhaustive enumeration.  Graph, with
 comparability_graph and complement, is the graph side of a poset, and
 alpha_k and omega_k compute its k-independence and k-clique numbers from
 its maximal independent sets, by Bron-Kerbosch.  dp_minimize is the
-single-objective subset DP, and is_polyunsaturated_per_pair runs it once
-per pair, as certify did before it searched by orthogonality.
+single-objective subset DP, the reference for the values and partitions
+of min_norm and min_joint_norm, and is_polyunsaturated_per_pair runs it
+once per pair, as certify did before it searched by orthogonality.
 isomorphic decides order isomorphism by invariant refinement and
 backtracking.
 """

@@ -304,22 +304,23 @@ def test_budget_exceeded_names_phase_pair_and_states(runner, monkeypatch):
     )
     assert result.exit_code == 2 and result.stdout == ""
     assert result.stderr == (
-        "error: orthogonal search for pair (1, 3) ran past its time budget"
-        " after 1 states\n"
+        "error: orthogonal search for pair (1, 3) at slack 0 ran past its"
+        " time budget after 1 states\n"
     )
-    # A clock that advances one second per read: the three pair searches
-    # of P_3 fit in 30 s, the shared DP after them does not.
+    # A clock that advances one second per read: P_3's certificate expands
+    # 28 states over three pairs, none with more than 12, so a budget of
+    # 17 s runs out in the third pair's search at slack 1.
     clock = itertools.count()
     monkeypatch.setattr(
         saturation.time, "monotonic", lambda: float(next(clock))
     )
     result = invoke(
-        runner, ["certify", "-", "--budget-seconds", "30"], stdin=p3
+        runner, ["certify", "-", "--budget-seconds", "17"], stdin=p3
     )
     assert result.exit_code == 2 and result.stdout == ""
     assert result.stderr == (
-        "error: shared DP over 3 refuted pairs ran past its time budget"
-        " after 31 states\n"
+        "error: orthogonal search for pair (1, 4) at slack 1 ran past its"
+        " time budget after 18 states\n"
     )
 
 

@@ -38,6 +38,7 @@ from polysat.graphdual import conjugate
 from polysat.poset import Poset
 from polysat.saturation import DEFAULT_LIMIT_N, Chain
 from oracles import (
+    dp_minimize,
     enumerate_chain_partitions,
     find_saturated_dp,
     is_polyunsaturated_per_pair,
@@ -170,6 +171,32 @@ def test_min_joint_norm_matches_exhaustive_scan():
         )
 
 
+def test_norm_searches_match_dp_first_minimizer():
+    # The value and the partition are the DP's first minimizer in walk
+    # order, whatever the least slack of the deepening search.  Disjoint
+    # copies of P_2 add one to the least slack of (1, 3) each.
+    rng = seeded(26)
+    p2, _ = build_pj(2)
+    unions = [p2]
+    for _ in range(2):
+        unions.append(disjoint_union(unions[-1], p2))
+    cases = [p for n in range(1, 7) for p in enumerate_posets(n)]
+    cases += [random_poset(rng, rng.randint(7, 12)) for _ in range(20)]
+    slacks = set()
+    for p in cases + unions:
+        c = height(p)
+        for k in range(1, c + 1):
+            assert min_norm(p, k, limit_n=24) == dp_minimize(p, (k,))
+            for l in range(k + 1, c + 2):
+                value, partition = min_joint_norm(p, k, l, limit_n=24)
+                assert (value, partition) == dp_minimize(p, (k, l))
+                slacks.add(value - dk(p, k) - dk(p, l))
+    assert slacks == {0, 1, 2, 3}
+    for copies, q in enumerate(unions, 1):
+        value, _ = min_joint_norm(q, 1, 3, limit_n=24)
+        assert value == dk(q, 1) + dk(q, 3) + copies
+
+
 def test_find_saturated_gk_small():
     for n in range(1, 6):
         for p in enumerate_posets(n):
@@ -281,6 +308,14 @@ def test_conjugate_certificate_stays_within_its_state_count(searches):
     assert sum(search.states for search in searches) < 5000
 
 
+def test_tower_certificate_stays_within_its_state_count(searches):
+    # Every pair of P_5 is refuted at slack 1.  A DP over the refuted
+    # pairs expands 1,309 masks; deepening each pair's search, 574.
+    report = is_polyunsaturated(build_pj(5)[0], limit_n=24)
+    assert report.conclusion and len(report.pair_verdicts) == 10
+    assert sum(search.states for search in searches) < 800
+
+
 def test_find_saturated_stays_within_its_state_count(searches):
     # The DP minimizing m_1 + m_5 here expands 11,216 masks; the search
     # for a cover orthogonal to A_1 and A_5 expands 1,395.
@@ -373,18 +408,19 @@ def test_budget_and_size_limits():
 
 
 def test_budget_bounds_the_whole_certificate(monkeypatch):
-    # A clock that advances one second per read, once per search state:
-    # a min_joint_norm of P_3 reads it 68 times, and the certificate 86
-    # times (18 orthogonal states over three pairs, then 67 in the shared
-    # DP), so 75 s fits one DP but not the DP after the pair searches.
+    # A clock that advances one second per read, once at the start and
+    # once per search state: a min_joint_norm of P_3 reads it 13 times (9
+    # states at slack 0, 3 at slack 1), and the certificate 29 times (28
+    # states over three pairs, none with more than 12 or a slack level
+    # with more than 9), so 20 s fits any one pair but not all three.
     clock = itertools.count()
     monkeypatch.setattr(
         saturation.time, "monotonic", lambda: float(next(clock))
     )
     p3, _ = build_pj(3)
-    min_joint_norm(p3, 1, 3, budget_s=75.0)
+    min_joint_norm(p3, 1, 3, budget_s=20.0)
     with pytest.raises(BudgetExceeded):
-        is_polyunsaturated(p3, budget_s=75.0)
+        is_polyunsaturated(p3, budget_s=20.0)
 
 
 def test_min_norm_invariant_survives_optimize_flag():
@@ -396,3 +432,20 @@ def test_min_norm_invariant_survives_optimize_flag():
     result = python_optimized(code)
     assert result.returncode != 0
     assert "Greene-Kleitman violated" in result.stderr
+
+
+def test_defect_identity_survives_optimize_flag():
+    # Families one element short still admit covers within some slack,
+    # but the covers' norms fall short of d_k + d_l + slack.
+    code = (
+        "from polysat import build_pj, saturation\n"
+        "real = saturation.max_kfamily\n"
+        "def short(p, k):\n"
+        "    family = real(p, k)\n"
+        "    return family & (family - 1)\n"
+        "saturation.max_kfamily = short\n"
+        "saturation.is_polyunsaturated(build_pj(3)[0])\n"
+    )
+    result = python_optimized(code)
+    assert result.returncode != 0
+    assert "defect identity violated" in result.stderr
