@@ -133,7 +133,7 @@ def saturate(input, ks, **limits):
     from .saturation import find_saturated
 
     p = _read_poset(input)
-    targets = sorted(ks)
+    targets = sorted(set(ks))
     cp = find_saturated(p, targets, **limits)
     partition = None if cp is None else [list(c.elems) for c in cp.chains]
     print(json.dumps({"saturated_for": targets, "partition": partition}))

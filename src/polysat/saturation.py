@@ -13,13 +13,15 @@ add up to |A_k| = d_k, so m_k = d_k + the sum of the defects, and a
 partition is k-saturated iff none of its chains has a defect.  Against
 several families at once the defects and the d_k add up alike.
 
-So one search answers every question.  cover finds the first partition
-in walk order whose total defect is at most a given slack.  find_saturated
-and min_norm ask for slack 0.  is_polyunsaturated, behind certify and
-dual, and min_joint_norm deepen: against A_k and A_l they try slack 0, 1,
-2, ... and stop at the least slack s with a cover.  s = 0 gives a witness;
-otherwise no partition is saturated for both k and l, and the least
-m_k + m_l is d_k + d_l + s.
+So one search answers every question.  A _NormSearch holds a call's
+guards, clock and families; its cover finds the first partition in walk
+order whose total defect is at most a given slack.  find_saturated and
+min_norm ask for slack 0.  Its least_slack, behind min_joint_norm and
+each pair of is_polyunsaturated (certify and dual), deepens: against A_k
+and A_l it tries slack 0, 1, 2, ... and stops at the least slack s with a
+cover.  s = 0 gives a witness; otherwise no partition is saturated for
+both k and l, and the least m_k + m_l is d_k + d_l + s.  limit_n caps n
+as the caller sets it, and the time budget is what stops a long search.
 
 The cover is the partition an exact DP minimizing the summed norms would
 give, so the output does not depend on which search found it.  The
@@ -34,6 +36,7 @@ empty mask.
 """
 import time
 from collections import deque
+from itertools import count
 
 from .errors import (
     BadK,
@@ -46,7 +49,6 @@ from .kfamily import d_sequence, dk
 from .poset import Value, _set, bits
 
 DEFAULT_LIMIT_N = 16
-HARD_LIMIT_N = 24
 # Seconds a search may take when the caller names no budget; budget_s=None
 # lifts the bound.
 DEFAULT_BUDGET_S = 600.0
@@ -231,17 +233,35 @@ def _check_kfamily(p, k, family, size):
 
 
 class _NormSearch:
-    """Cover searches over the chain partitions of p, all on one walk.
+    """One search over the chain partitions of p, all on one walk.
 
-    cover looks for a partition within a slack of given k-families.  It
-    stops at the deadline, and states counts the masks it expands.
+    Making it refuses p above limit_n and a NaN or negative budget_s, and
+    starts the clock: all it searches must end within budget_s seconds,
+    or may run unbounded if budget_s is None.  It keeps A_k per k, and
+    states counts the masks it expands.
     """
 
-    def __init__(self, p, deadline):
+    def __init__(self, p, limit_n, budget_s):
+        if p.n > limit_n:
+            raise SizeLimitExceeded(
+                f"n={p.n} exceeds the search limit {limit_n}; raise --limit-n"
+            )
+        self.deadline = None
+        if budget_s is not None:
+            if not budget_s >= 0:
+                raise BadParameters(
+                    f"budget must be a nonnegative number, not {budget_s}"
+                )
+            self.deadline = time.monotonic() + budget_s
         self.p = p
-        self.deadline = deadline
         self.states = 0
         self.full = (1 << p.n) - 1
+        self.families = {}
+
+    def family(self, k):
+        if k not in self.families:
+            self.families[k] = max_kfamily(self.p, k)
+        return self.families[k]
 
     def visit(self, phase):
         self.states += 1
@@ -253,32 +273,31 @@ class _NormSearch:
 
     def chains(self, mask):
         """(size, remaining mask) for every chain through the lowest element
-        of mask, in preorder with smaller successors first."""
+        of mask, in preorder with smaller successors first, made one at a
+        time, as the walk asks for them."""
         up = self.p.up
         i = (mask & -mask).bit_length() - 1
-        out = []
         stack = [(i, mask & ~(1 << i), 1)]
         while stack:
             top, rest, size = stack.pop()
-            out.append((size, rest))
+            yield size, rest
             succ = up[top] & rest
             while succ:
                 j = succ.bit_length() - 1
                 succ &= ~(1 << j)
                 stack.append((j, rest & ~(1 << j), size + 1))
-        return out
 
-    def cover(self, families, phase, slack=0):
-        """The first partition in walk order whose chains C miss the A of
-        every (k, A) in families by at most slack in all, counting
-        min(k, |C|) - |C & A| for each, or None."""
+    def cover(self, ks, phase, slack=0):
+        """The first partition in walk order whose chains C miss A_k for
+        every k in ks by at most slack in all, counting min(k, |C|) -
+        |C & A_k| for each, or None."""
         # memos[b] maps a mask to what is left of it after the first chain
         # of its first cover within slack b, with the slack left for that
         # rest, or to None if it has no such cover.
         memos = [{0: 0} for _ in range(slack + 1)]
         meets = [
-            ([min(k, s) for s in range(self.p.n + 1)], family)
-            for k, family in families
+            ([min(k, s) for s in range(self.p.n + 1)], self.family(k))
+            for k in ks
         ]
 
         def first(mask, budget):
@@ -303,72 +322,40 @@ class _NormSearch:
 
         if first(self.full, slack) is None:
             return None
-        chains = []
-        mask, left = self.full, slack
+        chains, mask, left = [], self.full, slack
         while mask:
             rest, left = memos[left][mask]
             chains.append(Chain(tuple(bits(mask & ~rest))))
             mask = rest
         return ChainPartition(self.p, tuple(chains))
 
+    def least_slack(self, ks, phase):
+        """(s, partition): the least slack s at which a cover against A_k
+        for every k in ks exists, and its first cover.
 
-def _least_slack(search, families, norm, phase):
-    """(s, partition): the least slack s at which search has a cover
-    against families, and its first cover.
-
-    norm is the sum of d_k over the families' k; the cover's summed
-    k-norms must be norm + s, and a mismatch is a bug in a k-family or the
-    search and raises AssertionError.
-    """
-    slack = 0
-    while True:
-        partition = search.cover(families, f"{phase} at slack {slack}", slack)
-        if partition is not None:
-            break
-        slack += 1
-    if sum(mk(partition, k) for k, _ in families) != norm + slack:
-        raise AssertionError(
-            "defect identity violated: bug in a k-family or the search"
-        )
-    return slack, partition
-
-
-def _start(p, limit_n, budget_s):
-    """Refuse p above the search limit and budgets that are NaN or
-    negative; else the deadline of a search of budget_s seconds starting
-    now, or None for no budget."""
-    if limit_n > HARD_LIMIT_N:
-        raise SizeLimitExceeded(
-            f"subset search refuses limits above n={HARD_LIMIT_N}"
-        )
-    if p.n > limit_n:
-        raise SizeLimitExceeded(
-            f"n={p.n} exceeds the search limit {limit_n}; raise --limit-n"
-        )
-    if budget_s is None:
-        return None
-    if not budget_s >= 0:
-        raise BadParameters(
-            f"budget must be a nonnegative number, not {budget_s}"
-        )
-    return time.monotonic() + budget_s
+        The cover's summed k-norms must be the sum of the d_k plus s; a
+        mismatch is a bug in a k-family or the search and raises
+        AssertionError.
+        """
+        for slack in count():
+            partition = self.cover(ks, f"{phase} at slack {slack}", slack)
+            if partition is not None:
+                break
+        if sum(mk(partition, k) - dk(self.p, k) for k in ks) != slack:
+            raise AssertionError(
+                "defect identity violated: bug in a k-family or the search"
+            )
+        return slack, partition
 
 
 def min_norm(p, k, limit_n=DEFAULT_LIMIT_N, budget_s=DEFAULT_BUDGET_S):
-    """Minimum m_k over all chain partitions, with one minimizer.
-
-    By Greene-Kleitman the value is d_k, which the covers by chains
-    orthogonal to A_k attain; the first in walk order is returned.  A
-    missing cover or one of another k-norm is a bug and raises
-    AssertionError.
-    """
+    """Minimum m_k over all chain partitions, with one minimizer: d_k, by
+    Greene-Kleitman, and find_saturated's cover for k, which attains it; a
+    missing cover or another k-norm is a bug and raises AssertionError."""
     if k < 1:
         raise BadK("k must be positive")
-    search = _NormSearch(p, _start(p, limit_n, budget_s))
+    partition = find_saturated(p, [k], limit_n, budget_s)
     value = dk(p, k)
-    partition = search.cover(
-        [(k, max_kfamily(p, k))], f"orthogonal search for k in {(k,)}"
-    )
     if partition is None or mk(partition, k) != value:
         raise AssertionError("Greene-Kleitman violated: bug in dk or search")
     return value, partition
@@ -381,15 +368,10 @@ def min_joint_norm(
     d_k + d_l plus the least slack of a cover against A_k and A_l."""
     if not 1 <= k < l:
         raise BadK("need 1 <= k < l")
-    search = _NormSearch(p, _start(p, limit_n, budget_s))
-    norm = dk(p, k) + dk(p, l)
-    slack, partition = _least_slack(
-        search,
-        [(k, max_kfamily(p, k)), (l, max_kfamily(p, l))],
-        norm,
-        f"orthogonal search for k in {(k, l)}",
+    slack, partition = _NormSearch(p, limit_n, budget_s).least_slack(
+        (k, l), f"orthogonal search for pair ({k}, {l})"
     )
-    return norm + slack, partition
+    return dk(p, k) + dk(p, l) + slack, partition
 
 
 def find_saturated(
@@ -405,11 +387,8 @@ def find_saturated(
     ks = sorted(set(ks))
     if not ks or ks[0] < 1:
         raise BadK("ks must be positive")
-    search = _NormSearch(p, _start(p, limit_n, budget_s))
-    return search.cover(
-        [(k, max_kfamily(p, k)) for k in ks],
-        f"orthogonal search for k in {tuple(ks)}",
-    )
+    search = _NormSearch(p, limit_n, budget_s)
+    return search.cover(ks, f"orthogonal search for k in {tuple(ks)}")
 
 
 def is_polyunsaturated(
@@ -422,27 +401,17 @@ def is_polyunsaturated(
     with minimum joint norm d_k + d_l + s.  Vacuously polyunsaturated when
     the height is below 4.  budget_s bounds the whole call, not each pair.
     """
-    deadline = _start(p, limit_n, budget_s)
+    search = _NormSearch(p, limit_n, budget_s)
     d = d_sequence(p).d
-    pairs = [
-        (k, l) for k in range(1, len(d) - 2) for l in range(k + 2, len(d))
-    ]
-    families = {k: max_kfamily(p, k) for k in {k for kl in pairs for k in kl}}
-    search = _NormSearch(p, deadline)
     verdicts = {}
-    for k, l in pairs:
-        norm = d[k - 1] + d[l - 1]
-        slack, partition = _least_slack(
-            search,
-            ((k, families[k]), (l, families[l])),
-            norm,
-            f"orthogonal search for pair ({k}, {l})",
-        )
-        if slack:
-            verdicts[(k, l)] = NoJointPartition(norm + slack)
-        else:
-            verdicts[(k, l)] = Witness(partition)
-    conclusion = all(
-        isinstance(v, NoJointPartition) for v in verdicts.values()
-    )
+    for k in range(1, len(d) - 2):
+        for l in range(k + 2, len(d)):
+            slack, partition = search.least_slack(
+                (k, l), f"orthogonal search for pair ({k}, {l})"
+            )
+            norm = d[k - 1] + d[l - 1] + slack
+            verdicts[(k, l)] = (
+                NoJointPartition(norm) if slack else Witness(partition)
+            )
+    conclusion = not any(isinstance(v, Witness) for v in verdicts.values())
     return PolyunsatReport(d=d, pair_verdicts=verdicts, conclusion=conclusion)

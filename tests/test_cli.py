@@ -14,10 +14,12 @@ from polysat import (
     build_pj,
     chain_poset,
     disjoint_union,
+    from_delta,
     kfamily,
     saturation,
 )
 from polysat.cli import main
+from polysat.graphdual import conjugate
 from polysat.io import MAX_N, dumps, export_dot, loads
 
 
@@ -281,6 +283,35 @@ def test_certify_respects_limit(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("j, n", [(6, 28), (7, 36), (8, 45)])
+def test_certify_towers_past_n_24(runner, j, n):
+    # Every pair of a tower is refuted, one above d_k + d_l.
+    pj = invoke(runner, ["construct", "pj", "--j", str(j)]).output
+    result = invoke(runner, ["certify", "-", "--limit-n", str(n)], stdin=pj)
+    assert result.exit_code == 0
+    pairs = json.loads(result.output)["pairs"]
+    assert pairs and all(
+        e["verdict"] == "no_joint_partition"
+        and e["min_joint_norm"] == e["dk_plus_dl"] + 1
+        for e in pairs
+    )
+
+
+def test_budget_stops_a_search_that_blows_up(runner):
+    # n = 40 is within the limit, but the first pair's search has more
+    # states than half a second allows.
+    q = dumps(conjugate(from_delta((10, 9, 8, 6, 4, 2, 1))))
+    args = ["certify", "-", "--limit-n", "40", "--budget-seconds", "0.5"]
+    start = time.perf_counter()
+    result = invoke(runner, args, stdin=q)
+    assert time.perf_counter() - start < 5.0
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr.startswith(
+        "error: orthogonal search for pair (1, 3) at slack 0 ran past its"
+        " time budget after "
+    )
+
+
 @pytest.mark.parametrize("budget", ["nan", "-1"])
 def test_budget_must_be_a_nonnegative_number(runner, budget):
     p3 = dumps(build_pj(3)[0])
@@ -333,6 +364,10 @@ def test_saturate(runner):
     result = invoke(runner, ["saturate", "-", "--ks", "1,3"], stdin=p2)
     assert result.exit_code == 1
     assert json.loads(result.output)["partition"] is None
+    # Repeated ks are searched, and reported, once.
+    result = invoke(runner, ["saturate", "-", "--ks", "3,1,1"], stdin=p2)
+    assert result.exit_code == 1
+    assert json.loads(result.output)["saturated_for"] == [1, 3]
 
 
 def test_dual_uses_carried_realizer(runner):

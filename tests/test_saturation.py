@@ -265,6 +265,11 @@ def test_certify_matches_per_pair_dp_on_conjugates(b):
     assert_matches_per_pair_dp(conjugate(from_delta(b)), limit_n=24)
 
 
+def test_certify_matches_per_pair_dp_past_n_24():
+    # P_6 has 28 elements; every one of its pairs is refuted.
+    assert_matches_per_pair_dp(build_pj(6)[0], limit_n=28)
+
+
 @settings(deadline=None, max_examples=60)
 @given(posets(max_n=10))
 def test_certify_matches_per_pair_dp_property(p):
@@ -403,8 +408,8 @@ def test_budget_and_size_limits():
     big = antichain_poset(17)
     with pytest.raises(SizeLimitExceeded):
         min_norm(big, 1)
-    with pytest.raises(SizeLimitExceeded):
-        min_norm(chain_poset(3), 1, limit_n=30)
+    # The limit has no ceiling of its own; the budget bounds the cost.
+    assert min_norm(chain_poset(3), 1, limit_n=30)[0] == 1
 
 
 def test_budget_bounds_the_whole_certificate(monkeypatch):

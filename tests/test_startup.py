@@ -141,8 +141,8 @@ def test_command_loads_only_what_it_runs(bare, command, needed, absent):
     "command, ceiling",
     [
         ("dk-table", 1180),
-        ("certify", 1545),
-        ("saturate --ks 1,2", 1545),
+        ("certify", 1514),
+        ("saturate --ks 1,2", 1514),
         ("dual --table", 1418),
         ("construct pj --j 3", 1578),
         ("enumerate --n 3", 1051),
