@@ -1,60 +1,44 @@
-"""Canonical forms of small posets, for filtering isomorphs.
+"""Canonical forms of posets: the least natural labelling.
 
-Only poset.enumerate_posets uses them; it imports this module when it
-runs, so the other commands do not compile it.
-"""
-
-import itertools
-
-from .poset import bits
+A natural labelling gives x a smaller label than every element above x,
+and is written as its down-rows, row y the mask of labels below label y.
+Posets are isomorphic iff their lexicographically least ones are equal."""
 
 
-def _invariants(p, rounds=3):
-    """Per-element structural invariants, comparable across posets.
+def least_labelling(down):
+    """The least natural labelling of the order with down-sets down
+    (masks, in any labelling).  Labels go one at a time to minimal
+    unlabelled elements, keeping the states that reach the least row.  A
+    state is the labelled set and the labels below each unlabelled
+    element so far; equal states have equal futures, so they merge."""
+    n = len(down)
+    states, rows = {(0, (0,) * n)}, []
+    for label in range(n):
+        best, kept = 1 << n, set()
+        for done, below in states:
+            for x in range(n):
+                if done >> x & 1 or down[x] & ~done or below[x] > best:
+                    continue
+                if below[x] < best:
+                    best, kept = below[x], set()
+                nxt = [b | (d >> x & 1) << label for b, d in zip(below, down)]
+                nxt[x] = 0
+                kept.add((done | 1 << x, tuple(nxt)))
+        rows.append(best)
+        states = kept
+    return tuple(rows)
 
-    Nested tuples built by a fixed number of refinement rounds; label
-    independent, so equal values may merge distinct orbits (the search
-    below stays correct, just with larger blocks).
-    """
-    inv = [(p.down[x].bit_count(), p.up[x].bit_count()) for x in range(p.n)]
-    for _ in range(rounds):
-        inv = [
-            (
-                inv[x],
-                tuple(sorted(inv[y] for y in bits(p.down[x]))),
-                tuple(sorted(inv[y] for y in bits(p.up[x]))),
-            )
-            for x in range(p.n)
-        ]
-    return inv
 
-
-def canonical_key(p):
-    """A relabeling-invariant key; equal keys iff isomorphic.
-
-    Minimizes the relation matrix over permutations that respect the
-    refined invariant classes.  Intended for n <= poset.ENUM_LIMIT.
-    """
-    inv = _invariants(p)
-    classes = {}
-    for x in range(p.n):
-        classes.setdefault(inv[x], []).append(x)
-    blocks = [classes[lab] for lab in sorted(classes)]
-    best = None
-    for perms in itertools.product(
-        *(itertools.permutations(block) for block in blocks)
-    ):
-        old_order = [x for block in perms for x in block]
-        newidx = [0] * p.n
-        for pos, x in enumerate(old_order):
-            newidx[x] = pos
-        key = []
-        for x in old_order:
-            row = 0
-            for y in bits(p.up[x]):
-                row |= 1 << newidx[y]
-            key.append(row)
-        key = tuple(key)
-        if best is None or key < best:
-            best = key
-    return best
+def classes(n):
+    """The least natural labelling of each n-element poset class, sorted.
+    Every poset has a maximal element, so each class arises from a class
+    of n - 1 by a new element above one of its order ideals."""
+    if n == 1:
+        return [(0,)]
+    found = set()
+    for down in classes(n - 1):
+        ideals = [0]
+        for x, row in enumerate(down):
+            ideals += [s | 1 << x for s in ideals if not row & ~s]
+        found.update(least_labelling(down + (s,)) for s in ideals)
+    return sorted(found)

@@ -16,7 +16,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 
-ENUM_LIMIT = 6
+ENUM_LIMIT = 8
 
 
 def bits(mask):
@@ -260,43 +260,19 @@ def width(p):
 def enumerate_posets(n):
     """One representative per isomorphism class of n-element posets.
 
-    Generates all topologically indexed strict-order matrices row by row
-    (each new down-set must be closed under earlier down-sets) and filters
-    isomorphs via canonical forms.  Deterministic order.
+    Each class is given by its least natural labelling, and the classes
+    come in increasing order of it (see canonical).
     """
     if n < 1:
         raise EmptyPoset("need n >= 1")
     if n > ENUM_LIMIT:
         raise SizeLimitExceeded(f"enumeration limited to n<={ENUM_LIMIT}")
     # Imported here, so the commands that enumerate nothing do not load it.
-    from .canonical import canonical_key
+    from .canonical import classes
 
-    seen = set()
-    downs = [0] * n
-
-    def build():
+    for down in classes(n):
         up = [0] * n
-        for y in range(n):
-            for x in bits(downs[y]):
+        for y, row in enumerate(down):
+            for x in bits(row):
                 up[x] |= 1 << y
-        return Poset(n, up)
-
-    def rec(y):
-        if y == n:
-            p = build()
-            key = canonical_key(p)
-            if key not in seen:
-                seen.add(key)
-                yield p
-            return
-        for sub in range(1 << y):
-            ok = True
-            for x in bits(sub):
-                if downs[x] & ~sub:
-                    ok = False
-                    break
-            if ok:
-                downs[y] = sub
-                yield from rec(y + 1)
-
-    yield from rec(0)
+        yield Poset(n, up)

@@ -13,14 +13,14 @@ single-objective subset DP, the reference for the values and partitions
 of min_norm and min_joint_norm, and is_polyunsaturated_per_pair runs it
 once per pair, as certify did before it searched by orthogonality.
 isomorphic decides order isomorphism by invariant refinement and
-backtracking.
+backtracking, and least_labelling_bruteforce finds a poset's least
+natural labelling over every permutation of its elements.
 """
 
 import itertools
 
 from polysat.errors import BadK, SizeLimitExceeded
 from polysat.poset import Value, _set, bits, height
-from polysat.canonical import _invariants
 from polysat.kfamily import d_sequence
 from polysat.saturation import (
     DEFAULT_LIMIT_N,
@@ -411,6 +411,26 @@ def is_polyunsaturated_per_pair(p):
     return PolyunsatReport(d=d, pair_verdicts=verdicts, conclusion=conclusion)
 
 
+def _invariants(p, rounds=3):
+    """Per-element structural invariants, comparable across posets.
+
+    Nested tuples built by a fixed number of refinement rounds; label
+    independent, so equal values may merge distinct orbits (the search
+    below stays correct, just with larger blocks).
+    """
+    inv = [(p.down[x].bit_count(), p.up[x].bit_count()) for x in range(p.n)]
+    for _ in range(rounds):
+        inv = [
+            (
+                inv[x],
+                tuple(sorted(inv[y] for y in bits(p.down[x]))),
+                tuple(sorted(inv[y] for y in bits(p.up[x]))),
+            )
+            for x in range(p.n)
+        ]
+    return inv
+
+
 def isomorphic(p, q, limit=ISO_LIMIT):
     """Order-isomorphism test by invariant refinement plus backtracking."""
     if p.n > limit or q.n > limit:
@@ -448,3 +468,22 @@ def isomorphic(p, q, limit=ISO_LIMIT):
         return False
 
     return assign(0)
+
+
+def least_labelling_bruteforce(p, limit=7):
+    """The lexicographically least tuple of down-rows over every natural
+    labelling of p, by trying all n! labellings."""
+    if p.n > limit:
+        raise SizeLimitExceeded(f"brute-force labelling limited to n<={limit}")
+    best = None
+    for label in itertools.permutations(range(p.n)):
+        if any(
+            label[x] > label[y] for y in range(p.n) for x in bits(p.down[y])
+        ):
+            continue
+        rows = [0] * p.n
+        for y in range(p.n):
+            rows[label[y]] = sum(1 << label[x] for x in bits(p.down[y]))
+        if best is None or tuple(rows) < best:
+            best = tuple(rows)
+    return best

@@ -112,23 +112,27 @@ def test_acceptance_05_tower_polyunsaturation():
 
 def test_acceptance_06_adjacent_saturation_always_exists():
     ok = True
-    for n in range(1, 7):
+    for n in range(1, 8):
         for p in enumerate_posets(n):
             for k in range(1, height(p)):
                 ok &= find_saturated(p, {k, k + 1}) is not None
-    check("acceptance 06 adjacent k,k+1 saturation on all n<=6", ok)
+    check("acceptance 06 adjacent k,k+1 saturation on all n<=7", ok)
 
 
 def test_acceptance_07_polyunsaturated_implies_strict_descent():
     ok = True
-    for n in range(1, 7):
+    found = []
+    for n in range(1, 8):
         for p in enumerate_posets(n):
             c = height(p)
             if c < 4 or not is_polyunsaturated(p).conclusion:
                 continue
+            found.append((n, c, width(p)))
             b = delta_sequence(p).b
             ok &= all(b[i] > b[i + 1] for i in range(1, c - 2))
-    check("acceptance 07 polyunsaturated n<=6 have strict descent", ok)
+    # (n, c, a) of every example: one class at n = 6, six at n = 7.
+    ok &= found == [(6, 4, 2)] + [(7, 4, 3)] * 6
+    check("acceptance 07 polyunsaturated n<=7 have strict descent", ok)
 
 
 def test_acceptance_08_every_valid_sequence_realizes():

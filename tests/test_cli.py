@@ -1,5 +1,6 @@
 """CLI surface and the JSON/DOT interchange formats."""
 
+import hashlib
 import itertools
 import json
 import time
@@ -408,6 +409,22 @@ def test_enumerate(runner):
     lines = result.output.splitlines()
     assert len(lines) == 5
     assert all(json.loads(line)["n"] == 3 for line in lines)
+
+
+# enumerate prints each class as its least natural labelling, in
+# increasing order of it; these digests pin that output byte for byte.
+ENUMERATE_SHA256 = {
+    5: "ec23f02c899d81c2662d6901d4ffa1317a8be6136764a24a6fbd5cc15f32deaa",
+    6: "60197febb2c4880abd92bdce43c1513172c9fcdf06ea8246a72ff67ff90a66b8",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ENUMERATE_SHA256))
+def test_enumerate_output_is_pinned(runner, n):
+    result = invoke(runner, ["enumerate", "--n", str(n)])
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.output.encode()).hexdigest()
+    assert digest == ENUMERATE_SHA256[n]
 
 
 def test_feasible_exit_codes(runner):

@@ -25,11 +25,12 @@ from polysat.errors import (
     InvalidRealizer,
     SizeLimitExceeded,
 )
-from polysat.poset import Poset, Realizer
+from polysat.canonical import least_labelling
+from polysat.poset import Poset, Realizer, bits
 from polysat.kfamily import DeltaSequence, DSequence
 from polysat.construct import PjLabels
 from polysat.saturation import Chain, PolyunsatReport
-from oracles import isomorphic, width_bruteforce
+from oracles import isomorphic, least_labelling_bruteforce, width_bruteforce
 from util import random_poset, seeded
 
 
@@ -242,13 +243,34 @@ def test_isomorphic_under_relabeling():
 
 
 def test_enumerate_poset_counts():
-    assert [len(list(enumerate_posets(n))) for n in range(1, 6)] == [
+    assert [len(list(enumerate_posets(n))) for n in range(1, 8)] == [
         1,
         2,
         5,
         16,
         63,
+        318,
+        2045,
     ]
+
+
+def test_least_labelling_matches_bruteforce():
+    for n in range(1, 6):
+        for p in enumerate_posets(n):
+            assert least_labelling(p.down) == least_labelling_bruteforce(p)
+            assert least_labelling(p.down) == p.down
+
+
+def test_least_labelling_ignores_the_labelling():
+    rng = seeded(7)
+    for p in enumerate_posets(7):
+        for _ in range(2):
+            perm = list(range(7))
+            rng.shuffle(perm)
+            down = [0] * 7
+            for y in range(7):
+                down[perm[y]] = sum(1 << perm[x] for x in bits(p.down[y]))
+            assert least_labelling(tuple(down)) == p.down
 
 
 def test_enumerate_pairwise_nonisomorphic():
@@ -268,4 +290,4 @@ def test_random_poset_hits_exactly_one_class():
 
 def test_enumerate_size_limit():
     with pytest.raises(SizeLimitExceeded):
-        list(enumerate_posets(7))
+        list(enumerate_posets(9))

@@ -135,24 +135,26 @@ def test_command_loads_only_what_it_runs(bare, command, needed, absent):
 # The most polysat source lines each command may compile, as each process
 # compiles them from source when no bytecode is cached.  dk-table reads a
 # poset and runs one flow, and code it never calls lives elsewhere;
-# certify and saturate compile one norm search.  The other ceilings are
-# the counts before code dk-table never calls left poset and kfamily.
-@pytest.mark.parametrize(
-    "command, ceiling",
-    [
-        ("dk-table", 1180),
-        ("certify", 1514),
-        ("saturate --ks 1,2", 1514),
-        ("dual --table", 1418),
-        ("construct pj --j 3", 1578),
-        ("enumerate --n 3", 1051),
-        ("feasible --n 6 --c 4 --a 2", 1578),
-    ],
-)
-def test_command_compiles_bounded_source(command, ceiling):
+# certify and saturate compile one norm search.  Each ceiling is the
+# command's present count, so a line added to what a command compiles
+# must be paid for by a line taken out.  They are keyed by command, so a
+# test keeps its name when its ceiling moves.
+CEILINGS = {
+    "dk-table": 1073,
+    "certify": 1490,
+    "saturate --ks 1,2": 1490,
+    "dual --table": 1163,
+    "construct pj --j 3": 1404,
+    "enumerate --n 3": 922,
+    "feasible --n 6 --c 4 --a 2": 1404,
+}
+
+
+@pytest.mark.parametrize("command", list(CEILINGS))
+def test_command_compiles_bounded_source(command):
     code, stderr, loaded = launch(command)
     assert code == 0, stderr
-    assert source_lines(loaded) <= ceiling
+    assert source_lines(loaded) <= CEILINGS[command]
 
 
 @pytest.mark.parametrize("args", [[], ["construct"]])
