@@ -53,26 +53,31 @@ class FeasibilityVerdict(Value):
         _set(self, "failed_conditions", failed_conditions)
 
 
-def disjoint_union(p, q):
-    """Order with no relations between the two parts."""
-    if p is None or q is None:
-        raise EmptyPoset("disjoint_union needs two posets")
-    up = list(p.up) + [m << p.n for m in q.up]
-    names = None
-    if p.names is not None or q.names is not None:
-        names = [p.name(i) for i in range(p.n)] + [
-            q.name(i) for i in range(q.n)
-        ]
+def disjoint_union(*parts):
+    """Order with no relations between the parts, numbered in turn; names
+    and realizer are those that a fold of binary unions gives."""
+    if None in parts:
+        raise EmptyPoset("disjoint_union needs posets, not None")
+    if len(parts) == 1:
+        return parts[0]
+    up, names, ext1, ext2 = [], None, [], []
+    for q in parts:
+        shift = len(up)
+        up += [m << shift for m in q.up]
+        # Unnamed parts before the first named one keep their union indices.
+        if names is None and q.names is not None:
+            names = [str(x) for x in range(shift)]
+        if names is not None:
+            names += [q.name(x) for x in range(q.n)]
+        if q.realizer is not None:
+            # Each part is appended in ext1 and prepended in ext2: the
+            # parts stay incomparable while each keeps its own realizer.
+            ext1 += [x + shift for x in q.realizer.ext1]
+            ext2[:0] = [x + shift for x in q.realizer.ext2]
     realizer = None
-    if p.realizer is not None and q.realizer is not None:
-        # New block appended in ext1, prepended in ext2: the parts stay
-        # incomparable while each part keeps its own certified realizer.
-        shift = p.n
-        realizer = Realizer(
-            ext1=p.realizer.ext1 + tuple(x + shift for x in q.realizer.ext1),
-            ext2=tuple(x + shift for x in q.realizer.ext2) + p.realizer.ext2,
-        )
-    return Poset(p.n + q.n, up, names=names, realizer=realizer)
+    if all(q.realizer is not None for q in parts):
+        realizer = Realizer(tuple(ext1), tuple(ext2))
+    return Poset(len(up), up, names=names, realizer=realizer)
 
 
 def chain_poset(t, names=None):
@@ -249,8 +254,7 @@ def from_delta(b):
     check_size(sum(b))
     c = len(b)
     if c < 3:
-        sizes = _conjugate_partition(b)
-        p, chains = chain_poset(sizes[0]), sizes[1:]
+        parts, chains = [], _conjugate_partition(b)
     else:
         lower = lower_bounds(c).b
         chains = []
@@ -258,10 +262,8 @@ def from_delta(b):
             t = max(i for i in range(c) if b[i] > lower[i]) + 1
             b = tuple(x - 1 if i < t else x for i, x in enumerate(b))
             chains.insert(0, t)
-        p = build_pj(c - 2)[0]
-    for t in chains:
-        p = disjoint_union(p, chain_poset(t))
-    return p
+        parts = [build_pj(c - 2)[0]]
+    return disjoint_union(*parts, *map(chain_poset, chains))
 
 
 def feasible_nca(n, c, a):

@@ -10,12 +10,9 @@ import json
 from .errors import BadParameters
 from .poset import Realizer, cover_relations, from_covers
 
-# Largest n the reader accepts.  A chain, whose relation is complete, is
-# the costliest poset to build: the transitivity check in Poset touches
-# every comparable pair with n-bit rows, so the build grows faster than
-# n^2.  Reading a chain took 0.54 s at n = 1000, 2.2 s at n = 2000 and
-# 14 s at n = 4000 (Python 3.11, one Xeon core); 2000 keeps the worst
-# build near two seconds.
+# Largest n the reader accepts.  Building walks covers and takes ms; the
+# flow sets the limit: dk-table took 7-9 s on a 2000-antichain and 11-13 s
+# on a 2000-chain (Python 3.11, a loaded 2-core Xeon).
 MAX_N = 2000
 
 

@@ -86,7 +86,8 @@ class Poset:
 
     up[x] is the bitmask of elements strictly above x; down[x] the mask of
     elements strictly below.  Construction validates irreflexivity,
-    antisymmetry, transitivity, and the topological-indexing invariant.
+    antisymmetry, transitivity and topological indexing in O(n + covers)
+    row steps.
     names and realizer are given at construction and, like the order,
     never change; equality and hashing look at the order only.  derived
     holds values computed from the order on first use, such as the d
@@ -110,28 +111,32 @@ class Poset:
                 raise ValueError("indices are not topological")
             if row & ~full_above:
                 raise IndexOutOfRange("relation row mentions element >= n")
-        down = [0] * n
-        for x in range(n):
-            row = up[x]
-            for y in bits(row):
+        # Rows above x are closed when x is walked, so each lowest y left is
+        # a cover, and x's row is closed iff it holds their rows.  Negative
+        # rows never empty; the range checks have refused them.
+        lower = [[] for _ in range(n)]
+        for x in range(n - 1, -1, -1):
+            row = rest = up[x]
+            while rest:
+                low = rest & -rest
+                y = low.bit_length() - 1
                 if up[y] & ~row:
                     raise ValueError("relation is not transitive")
-                down[y] |= 1 << x
-        # __setattr__ refuses every assignment, so the slots are filled
-        # through object's.
-        init = object.__setattr__
-        init(self, "n", n)
-        init(self, "up", up)
-        init(self, "down", tuple(down))
-        init(self, "names", tuple(names) if names is not None else None)
-        init(self, "realizer", realizer)
-        init(self, "derived", {})
+                lower[y].append(x)
+                rest &= ~(low | up[y])
+        down = [0] * n
+        for y in range(n):
+            for x in lower[y]:
+                down[y] |= down[x] | 1 << x
+        _set(self, "n", n)
+        _set(self, "up", up)
+        _set(self, "down", tuple(down))
+        _set(self, "names", tuple(names) if names is not None else None)
+        _set(self, "realizer", realizer)
+        _set(self, "derived", {})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("a Poset is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("a Poset is immutable")
+    __setattr__ = Value.__setattr__
+    __delattr__ = Value.__delattr__
 
     def less(self, x, y):
         return bool(self.up[x] >> y & 1)
@@ -143,11 +148,7 @@ class Poset:
         return self.names[x] if self.names is not None else str(x)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Poset)
-            and self.n == other.n
-            and self.up == other.up
-        )
+        return isinstance(other, Poset) and self.up == other.up
 
     def __hash__(self):
         return hash((self.n, self.up))
@@ -213,22 +214,22 @@ def from_covers(n, covers, names=None, realizer=None):
 
 
 def cover_relations(p):
-    """Transitive reduction: the unique minimal pair set closing to lt."""
+    """Transitive reduction as sorted (x, y) pairs, by Poset's cover walk."""
     out = []
     for x in range(p.n):
-        for y in bits(p.up[x]):
-            if not (p.up[x] & p.down[y]):
-                out.append((x, y))
+        rest = p.up[x]
+        while rest:
+            y = (rest & -rest).bit_length() - 1
+            out.append((x, y))
+            rest &= ~(1 << y | p.up[y])
     return out
 
 
 def chain_lengths(p):
-    """Longest chain ending at each element."""
+    """Longest chain ending at each element; covers come sorted by x."""
     h = [1] * p.n
-    for y in range(p.n):
-        for x in bits(p.down[y]):
-            if h[x] + 1 > h[y]:
-                h[y] = h[x] + 1
+    for x, y in cover_relations(p):
+        h[y] = max(h[y], h[x] + 1)
     return h
 
 

@@ -15,6 +15,9 @@ once per pair, as certify did before it searched by orthogonality.
 isomorphic decides order isomorphism by invariant refinement and
 backtracking, and least_labelling_bruteforce finds a poset's least
 natural labelling over every permutation of its elements.
+down_rows_pairs, cover_relations_pairs and chain_lengths_pairs are the
+walks over every comparable pair that Poset's check, cover_relations and
+chain_lengths made before they walked covers only.
 """
 
 import itertools
@@ -487,3 +490,36 @@ def least_labelling_bruteforce(p, limit=7):
         if best is None or tuple(rows) < best:
             best = tuple(rows)
     return best
+
+
+def down_rows_pairs(n, up):
+    """The down rows of up, checking each pair x < y for up[y] <= up[x];
+    raises ValueError when the rows are not transitive."""
+    down = [0] * n
+    for x in range(n):
+        row = up[x]
+        for y in bits(row):
+            if up[y] & ~row:
+                raise ValueError("relation is not transitive")
+            down[y] |= 1 << x
+    return tuple(down)
+
+
+def cover_relations_pairs(p):
+    """The pairs x < y with nothing between them, by testing every pair."""
+    out = []
+    for x in range(p.n):
+        for y in bits(p.up[x]):
+            if not (p.up[x] & p.down[y]):
+                out.append((x, y))
+    return out
+
+
+def chain_lengths_pairs(p):
+    """Longest chain ending at each element, over every element below it."""
+    h = [1] * p.n
+    for y in range(p.n):
+        for x in bits(p.down[y]):
+            if h[x] + 1 > h[y]:
+                h[y] = h[x] + 1
+    return h

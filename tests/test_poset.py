@@ -1,6 +1,7 @@
 """Core order structure: construction, heights, widths, isomorphism."""
 
 import copy
+import functools
 import pickle
 
 import pytest
@@ -204,11 +205,27 @@ def test_disjoint_union_height_width():
         assert width(u) == width(p) + width(q)
 
 
+def test_disjoint_union_of_many_parts_is_the_binary_fold():
+    rng = seeded(8)
+    kinds = [
+        lambda: chain_poset(rng.randint(1, 4)),
+        lambda: antichain_poset(2, names=["a", "b"]),
+        lambda: random_poset(rng, rng.randint(1, 5)),
+        lambda: build_pj(2)[0],
+    ]
+    for _ in range(60):
+        parts = [rng.choice(kinds)() for _ in range(rng.randint(1, 5))]
+        u, fold = disjoint_union(*parts), functools.reduce(disjoint_union, parts)
+        assert (u, u.names, u.realizer) == (fold, fold.names, fold.realizer)
+
+
 def test_empty_poset_rejected():
     with pytest.raises(EmptyPoset):
         Poset(0, [])
     with pytest.raises(EmptyPoset):
         disjoint_union(None, chain_poset(1))
+    with pytest.raises(EmptyPoset):
+        disjoint_union()
 
 
 def test_ranks_examples():
