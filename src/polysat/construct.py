@@ -18,7 +18,6 @@ from .poset import (
     Value,
     _set,
     cover_relations,
-    from_covers,
     height,
     width,
 )
@@ -101,34 +100,22 @@ def ranks(p):
     normalized to minimum 0 within each connected component of the cover
     graph.  Decided by BFS constraint propagation over covers.
     """
-    covers = cover_relations(p)
-    up_adj = [[] for _ in range(p.n)]
-    down_adj = [[] for _ in range(p.n)]
-    for x, y in covers:
-        up_adj[x].append(y)
-        down_adj[y].append(x)
+    adj = [[] for _ in range(p.n)]
+    for x, y in cover_relations(p):
+        adj[x].append((y, 1))
+        adj[y].append((x, -1))
     rank = [None] * p.n
     for start in range(p.n):
         if rank[start] is not None:
             continue
         rank[start] = 0
         comp = [start]
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y in up_adj[x]:
+        for x in comp:
+            for y, step in adj[x]:
                 if rank[y] is None:
-                    rank[y] = rank[x] + 1
+                    rank[y] = rank[x] + step
                     comp.append(y)
-                    queue.append(y)
-                elif rank[y] != rank[x] + 1:
-                    return None
-            for y in down_adj[x]:
-                if rank[y] is None:
-                    rank[y] = rank[x] - 1
-                    comp.append(y)
-                    queue.append(y)
-                elif rank[y] != rank[x] - 1:
+                elif rank[y] != rank[x] + step:
                     return None
         low = min(rank[x] for x in comp)
         for x in comp:
@@ -167,18 +154,19 @@ def build_pj(j):
         s_raw.append(block[-2])
         r_raw.append(block[-1])
         q_blocks.append(block)
-    # The two linear extensions certifying dimension <= 2, in input
-    # labels: the blocks T_i s_i r_i in turn, then T_j .. T_1, every s_i
-    # and the r_i backwards.
+    # The two linear extensions certifying dimension <= 2: the blocks
+    # T_i s_i r_i in turn, then T_j .. T_1, every s_i and the r_i backwards.
     ext2 = [x for block in reversed(t_raw) for x in block]
     ext2 += s_raw + r_raw[::-1]
     realizer = Realizer(tuple(range(len(names))), tuple(ext2))
-    p, mapping = from_covers(len(names), covers, names, realizer)
-    s = tuple(mapping[x] for x in s_raw)
-    r = tuple(mapping[x] for x in r_raw)
-    T = tuple(frozenset(mapping[x] for x in block) for block in t_raw)
-    Q = tuple(frozenset(mapping[x] for x in block) for block in q_blocks)
-    labels = PjLabels(u=mapping[0], s=s, r=r, T=T, Q=Q)
+    # Every cover goes up in index, so the rows close top down.
+    up = [0] * len(names)
+    for a, b in sorted(covers, reverse=True):
+        up[a] |= 1 << b | up[b]
+    p = Poset(len(names), up, names=names, realizer=realizer)
+    T = tuple(map(frozenset, t_raw))
+    Q = tuple(map(frozenset, q_blocks))
+    labels = PjLabels(u=0, s=tuple(s_raw), r=tuple(r_raw), T=T, Q=Q)
     if p.n != math.comb(j + 2, 2) or (height(p), width(p)) != (j + 2, j):
         raise AssertionError(f"P_{j} has the wrong size, height or width")
     return p, labels

@@ -7,34 +7,36 @@ therefore reduce to the poset's own: for the comparability graph G of P,
 alpha_k(G) = d_k(P) and omega_k(G) = e_k(P) (Greene 1976; Frank 1980), and
 proper colorings of G are chain partitions of the conjugate, so the
 coloring-side saturation duals are the conjugate's polyunsaturation.
+The order of a 2-realizer, the intersection of its two linear orders
+(Dushnik and Miller 1941), is read off suffix masks in O(n) row steps.
 """
 
 from .errors import BadParameters, InvalidRealizer
 from .poset import Poset, Realizer, bits
 
 
+def _order(ext1, ext2):
+    """Rows of "x precedes y in both permutations", from suffix masks."""
+    later1 = [0] * len(ext1)
+    seen = 0
+    for x in reversed(ext1):
+        later1[x] = seen
+        seen |= 1 << x
+    rows = [0] * len(ext2)
+    seen = 0
+    for x in reversed(ext2):
+        rows[x] = later1[x] & seen
+        seen |= 1 << x
+    return rows
+
+
 def verify_realizer(p, r):
     """True iff both permutations are linear extensions whose intersection
     is exactly the order."""
-    if sorted(r.ext1) != list(range(p.n)) or sorted(r.ext2) != list(
-        range(p.n)
-    ):
+    elements = list(range(p.n))
+    if sorted(r.ext1) != elements or sorted(r.ext2) != elements:
         return False
-    pos1 = [0] * p.n
-    pos2 = [0] * p.n
-    for i, x in enumerate(r.ext1):
-        pos1[x] = i
-    for i, x in enumerate(r.ext2):
-        pos2[x] = i
-    for x in range(p.n):
-        for y in range(x + 1, p.n):
-            both = pos1[x] < pos1[y] and pos2[x] < pos2[y]
-            if p.less(x, y):
-                if not both:
-                    return False
-            elif both or (pos1[x] > pos1[y] and pos2[x] > pos2[y]):
-                return False
-    return True
+    return _order(r.ext1, r.ext2) == list(p.up)
 
 
 def conjugate(p, r=None):
@@ -42,30 +44,19 @@ def conjugate(p, r=None):
 
     Its comparability graph is the complement of the original one (checked
     internally).  The result is relabeled topologically by ext1 order and
-    carries its own realizer.
+    is the order of its own realizer: the identity and ext2 reversed.
     """
     if r is None:
         r = p.realizer
     if r is None or not verify_realizer(p, r):
         raise InvalidRealizer("need a verified 2-realizer")
     n = p.n
-    pos2 = [0] * n
-    for i, x in enumerate(r.ext2):
-        pos2[x] = i
-    # New index = position in ext1; relation holds iff ext2 positions drop.
-    order = list(r.ext1)
-    up = []
-    for i, x in enumerate(order):
-        row = 0
-        for jj in range(i + 1, n):
-            if pos2[order[jj]] < pos2[x]:
-                row |= 1 << jj
-        up.append(row)
-    names = [p.name(x) for x in order] if p.names is not None else None
+    names = [p.name(x) for x in r.ext1] if p.names is not None else None
     newidx = [0] * n
-    for i, x in enumerate(order):
+    for i, x in enumerate(r.ext1):
         newidx[x] = i
     rev2 = tuple(newidx[x] for x in reversed(r.ext2))
+    up = _order(range(n), rev2)
     q = Poset(
         n, up, names=names, realizer=Realizer(tuple(range(n)), rev2)
     )

@@ -90,8 +90,8 @@ class Poset:
     row steps.
     names and realizer are given at construction and, like the order,
     never change; equality and hashing look at the order only.  derived
-    holds values computed from the order on first use, such as the d
-    sequence, so each is computed once per instance.
+    caches values of the order, such as the d sequence, once per
+    instance; a copy or a pickle is built from the rest and starts empty.
     """
 
     __slots__ = ("n", "up", "down", "names", "realizer", "derived")
@@ -138,6 +138,9 @@ class Poset:
     __setattr__ = Value.__setattr__
     __delattr__ = Value.__delattr__
 
+    def __reduce__(self):
+        return type(self), (self.n, self.up, self.names, self.realizer)
+
     def less(self, x, y):
         return bool(self.up[x] >> y & 1)
 
@@ -182,11 +185,12 @@ def from_covers(n, covers, names=None, realizer=None):
         if y not in succs[x]:
             succs[x].add(y)
             indeg[y] += 1
-    heap = [i for i in range(n) if indeg[i] == 0]
-    heapq.heapify(heap)
+    heap = [i for i in range(n) if indeg[i] == 0]  # sorted, so a heap
     order = []
+    mapping = [0] * n
     while heap:
         x = heapq.heappop(heap)
+        mapping[x] = len(order)
         order.append(x)
         for y in sorted(succs[x]):
             indeg[y] -= 1
@@ -194,9 +198,6 @@ def from_covers(n, covers, names=None, realizer=None):
                 heapq.heappush(heap, y)
     if len(order) < n:
         raise CycleDetected("cover relation contains a cycle")
-    mapping = [0] * n
-    for pos, x in enumerate(order):
-        mapping[x] = pos
     up = [0] * n
     for x in reversed(order):
         m = 0
@@ -254,8 +255,7 @@ def width(p):
                 return True
         return False
 
-    matching = sum(augment(x, [0]) for x in range(p.n))
-    return p.n - matching
+    return p.n - sum(augment(x, [0]) for x in range(p.n))
 
 
 def enumerate_posets(n):

@@ -18,12 +18,15 @@ natural labelling over every permutation of its elements.
 down_rows_pairs, cover_relations_pairs and chain_lengths_pairs are the
 walks over every comparable pair that Poset's check, cover_relations and
 chain_lengths made before they walked covers only.
+verify_realizer_pairs and conjugate_pairs are verify_realizer and
+conjugate as they were before they read the order of a realizer off
+suffix masks: they compare the two permutations' positions pair by pair.
 """
 
 import itertools
 
-from polysat.errors import BadK, SizeLimitExceeded
-from polysat.poset import Value, _set, bits, height
+from polysat.errors import BadK, InvalidRealizer, SizeLimitExceeded
+from polysat.poset import Poset, Realizer, Value, _set, bits, height
 from polysat.kfamily import d_sequence
 from polysat.saturation import (
     DEFAULT_LIMIT_N,
@@ -523,3 +526,65 @@ def chain_lengths_pairs(p):
             if h[x] + 1 > h[y]:
                 h[y] = h[x] + 1
     return h
+
+
+def verify_realizer_pairs(p, r):
+    """verify_realizer by positions, testing every pair x < y."""
+    if sorted(r.ext1) != list(range(p.n)) or sorted(r.ext2) != list(
+        range(p.n)
+    ):
+        return False
+    pos1 = [0] * p.n
+    pos2 = [0] * p.n
+    for i, x in enumerate(r.ext1):
+        pos1[x] = i
+    for i, x in enumerate(r.ext2):
+        pos2[x] = i
+    for x in range(p.n):
+        for y in range(x + 1, p.n):
+            both = pos1[x] < pos1[y] and pos2[x] < pos2[y]
+            if p.less(x, y):
+                if not both:
+                    return False
+            elif both or (pos1[x] > pos1[y] and pos2[x] > pos2[y]):
+                return False
+    return True
+
+
+def conjugate_pairs(p, r=None):
+    """conjugate with each row built over every later element."""
+    if r is None:
+        r = p.realizer
+    if r is None or not verify_realizer_pairs(p, r):
+        raise InvalidRealizer("need a verified 2-realizer")
+    n = p.n
+    pos2 = [0] * n
+    for i, x in enumerate(r.ext2):
+        pos2[x] = i
+    # New index = position in ext1; relation holds iff ext2 positions drop.
+    order = list(r.ext1)
+    up = []
+    for i, x in enumerate(order):
+        row = 0
+        for jj in range(i + 1, n):
+            if pos2[order[jj]] < pos2[x]:
+                row |= 1 << jj
+        up.append(row)
+    names = [p.name(x) for x in order] if p.names is not None else None
+    newidx = [0] * n
+    for i, x in enumerate(order):
+        newidx[x] = i
+    rev2 = tuple(newidx[x] for x in reversed(r.ext2))
+    q = Poset(
+        n, up, names=names, realizer=Realizer(tuple(range(n)), rev2)
+    )
+    # Row by row, q's comparabilities are p's non-comparabilities.
+    full = (1 << n) - 1
+    for x in range(n):
+        i = newidx[x]
+        mapped = 0
+        for y in bits(p.up[x] | p.down[x]):
+            mapped |= 1 << newidx[y]
+        if q.up[i] | q.down[i] != full & ~mapped & ~(1 << i):
+            raise AssertionError("conjugate's graph is not the complement")
+    return q

@@ -1,5 +1,7 @@
 """Comparability graphs, realizers, conjugates, and the coloring duals."""
 
+import time
+
 import pytest
 
 from polysat import (
@@ -11,9 +13,11 @@ from polysat import (
     dk,
     feasible_dual_nac,
     feasible_nca,
+    from_covers,
     from_delta,
     height,
     is_polyunsaturated,
+    realize_nca,
     verify_realizer,
 )
 from polysat.errors import BadParameters, InvalidRealizer
@@ -22,9 +26,11 @@ from oracles import (
     alpha_k,
     comparability_graph,
     complement,
+    conjugate_pairs,
     is_comparability,
     isomorphic,
     omega_k,
+    verify_realizer_pairs,
 )
 from util import python_optimized, random_poset, seeded
 
@@ -97,6 +103,81 @@ def test_verify_realizer_examples():
     assert not verify_realizer(chain_poset(3), Realizer((2, 1, 0), (0, 1, 2)))
     p = from_delta((3, 3, 2, 1))
     assert verify_realizer(p, p.realizer)
+
+
+def permutation_orders(rng):
+    """Orders of seeded random permutation pairs, n <= 12, some named."""
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        ext1, ext2 = list(range(n)), list(range(n))
+        rng.shuffle(ext1)
+        rng.shuffle(ext2)
+        pairs = [
+            (x, y)
+            for i, x in enumerate(ext1)
+            for y in ext1[i + 1 :]
+            if ext2.index(x) < ext2.index(y)
+        ]
+        names = [f"e{x}" for x in range(n)] if rng.random() < 0.5 else None
+        yield from_covers(n, pairs, names, Realizer(ext1, ext2))[0]
+
+
+def mutations(rng, r, n):
+    """Realizers one edit away from r: two entries swapped, an entry
+    duplicated, an entry out of range, and one entry too few or many."""
+    for name in ("ext1", "ext2"):
+        ext = list(getattr(r, name))
+        edits = [ext[:-1], ext + [n]]
+        if n >= 2:
+            i, j = rng.sample(range(n), 2)
+            swapped = list(ext)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            duplicated = list(ext)
+            duplicated[i] = ext[j]
+            edits += [swapped, duplicated]
+        out_of_range = list(ext)
+        out_of_range[rng.randrange(n)] = n
+        edits.append(out_of_range)
+        for edit in edits:
+            if name == "ext1":
+                yield Realizer(tuple(edit), r.ext2)
+            else:
+                yield Realizer(r.ext1, tuple(edit))
+
+
+def conjugate_fields(conjugate_fn, p, r):
+    try:
+        q = conjugate_fn(p, r)
+    except InvalidRealizer:
+        return None
+    return q.up, q.names, q.realizer
+
+
+def test_realizer_check_and_conjugate_match_pair_oracles():
+    rng = seeded(33)
+    verdicts = set()
+    for p in [*dim2_samples(), *permutation_orders(rng)]:
+        for r in [p.realizer, *mutations(rng, p.realizer, p.n)]:
+            verdict = verify_realizer(p, r)
+            assert verdict == verify_realizer_pairs(p, r)
+            assert conjugate_fields(conjugate, p, r) == conjugate_fields(
+                conjugate_pairs, p, r
+            )
+            verdicts.add((r == p.realizer, verdict))
+    # No single edit leaves a 2-realizer of the same order.
+    assert verdicts == {(True, True), (False, False)}
+
+
+def test_realizer_check_and_conjugate_at_max_n_take_milliseconds():
+    p = realize_nca(2000, 10, 250)
+    start = time.perf_counter()
+    verified = verify_realizer(p, p.realizer)
+    conjugate(p)
+    elapsed = time.perf_counter() - start
+    assert verified
+    # The pair loops took about 1.5 s on a 2-core Xeon; the suffix masks
+    # take about 35 ms.
+    assert elapsed < 0.5
 
 
 def test_conjugate_examples():

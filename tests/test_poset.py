@@ -117,6 +117,7 @@ def test_values_are_immutable_and_compare_by_type_and_fields():
         DeltaSequence((2, 1)),
         PolyunsatReport(d=(2, 3), conclusion=False),
         PjLabels(u=0, s=(1,), r=(2,), T=(frozenset({0}),), Q=()),
+        chain_poset(3, names=["a", "b", "c"]),
     ]
     for v in values:
         for copied in (copy.copy(v), pickle.loads(pickle.dumps(v))):
@@ -127,6 +128,12 @@ def test_values_are_immutable_and_compare_by_type_and_fields():
             setattr(v, v.__slots__[0], None)
         with pytest.raises(AttributeError):
             delattr(v, v.__slots__[0])
+    # A Poset compares by its order only, so its names and realizer are
+    # checked apart.
+    named = values[-1]
+    for copied in (copy.copy(named), pickle.loads(pickle.dumps(named))):
+        assert (copied.names, copied.realizer) == (named.names, named.realizer)
+        assert copied.realizer is not None
     assert Chain((0, 2)) != Chain((0, 1)) and Chain((0, 2)) != (0, 2)
     assert DSequence((3,)) != DeltaSequence((3,))
     assert repr(Realizer((0,), (0,))) == "Realizer(ext1=(0,), ext2=(0,))"
@@ -234,6 +241,9 @@ def test_ranks_examples():
     assert [len(c) for c in ranks(p2)] == [1, 2, 2, 1]
     v, _ = from_covers(3, [(0, 1), (0, 2)])
     assert ranks(v) == [{0}, {1, 2}]
+    # From 0 the walk goes up to 2, then has to step down to 3.
+    w, mapping = from_covers(4, [(0, 1), (1, 2), (3, 2)])
+    assert ranks(w) == [{mapping[x] for x in c} for c in ({0}, {1, 3}, {2})]
 
 
 def test_ranks_absent_when_inconsistent():

@@ -143,10 +143,10 @@ CEILINGS = {
     "dk-table": 1071,
     "certify": 1488,
     "saturate --ks 1,2": 1488,
-    "dual --table": 1161,
-    "construct pj --j 3": 1404,
+    "dual --table": 1152,
+    "construct pj --j 3": 1392,
     "enumerate --n 3": 920,
-    "feasible --n 6 --c 4 --a 2": 1404,
+    "feasible --n 6 --c 4 --a 2": 1392,
 }
 
 
