@@ -28,6 +28,8 @@ class DSequence(Value):
 
     def at(self, k):
         """d_k for any k >= 1; d_k = d_c = n for k at or above the height."""
+        if k < 1:
+            raise BadK("k must be positive")
         return self.d[min(k, len(self.d)) - 1]
 
     def delta(self):
@@ -53,62 +55,64 @@ class DeltaSequence(Value):
         return len(self.b)
 
 
-def chain_unions(p):
-    """(e_0, e_1, ..., e_w): e_f is the size of a largest union of f
-    disjoint chains, up to the width w, where e_w = n.
+def _residual(p, prv, nxt):
+    """arcs(u): the (v, cost) arcs out of node u in the residual network of
+    the split DAG under the chains that prv and nxt describe.
 
-    Successive shortest paths on the split DAG: element x becomes an arc
-    x_in -> x_out of capacity 1 and cost -1; s -> x_in, x_out -> t and
-    x_out -> y_in for every x < y cost 0.  The relation is transitively
-    closed, so no pass-through arcs are needed.  The f-th augmenting path
-    costs -(e_f - e_{f-1}).  The residual arcs are read off the chains
-    found so far and the relation rows, so memory stays O(n).  Arcs into
-    s and out of t are left out: no shortest s-t path uses them.
-
-    At each f with e_f - e_{f-1} > max(e_{f+1} - e_f, 1), the f chains of
-    the flow, a largest union of f chains, are kept in p.derived["chains"]
-    for saturation.max_kfamily; there are at most sqrt(2n) such f.
+    Node 2x is x_in, 2x+1 is x_out and 2n+1 is t; the source s is no node,
+    and a caller starts each x_in at its distance from s.  Element x is an
+    arc x_in -> x_out of capacity 1 and cost -1.  x_out -> t and x_out ->
+    y_in for every x < y (the relation is closed) cost 0 and need no
+    capacity, since a unit reaches x_out only through x_in.  prv[x] is the
+    element before x on its chain, or 2n for s, and nxt[x] the one after
+    it, or t; both are None while x is on no chain.
     """
     n = p.n
     src, snk = 2 * n, 2 * n + 1
-    # Node 2x is x_in and 2x+1 is x_out.  prv[x] is the element before x
-    # on its chain, or src; nxt[x] the element after it, or snk; both are
-    # None while x is on no chain.
-    prv = [None] * n
-    nxt = [None] * n
 
     def arcs(u):
-        if u == src:
-            return [(2 * x, 0) for x in range(n) if prv[x] != src]
+        if u == snk:
+            return [(2 * x + 1, 0) for x in range(n) if nxt[x] == snk]
         x = u >> 1
         if not u & 1:
             if prv[x] is None:
                 return [(u + 1, -1)]
             return [] if prv[x] == src else [(2 * prv[x] + 1, 0)]
         out = [] if prv[x] is None else [(u - 1, 1)]
-        out += [(2 * y, 0) for y in bits(p.up[x]) if y != nxt[x]]
-        if nxt[x] != snk:
-            out.append((snk, 0))
-        return out
+        out += [(2 * y, 0) for y in bits(p.up[x])]
+        return out + [(snk, 0)]
 
-    def chain(x):
-        out = [x]
-        while nxt[out[-1]] != snk:
-            out.append(nxt[out[-1]])
-        return tuple(out)
+    return arcs
 
+
+def chain_unions(p):
+    """(e_0, e_1, ..., e_w): e_f is the size of a largest union of f
+    disjoint chains, up to the width w, where e_w = n.
+
+    Successive shortest paths from s to t in _residual's network, whose
+    arcs are read off the chains and the relation rows in O(n) memory; the
+    f-th augmenting path costs -(e_f - e_{f-1}).  Dijkstra relaxes strictly
+    and never leaves t, so arcs that only close zero-cost cycles change no
+    path.  At each f with e_f - e_{f-1} > max(e_{f+1} - e_f, 1), the
+    flow's (prv, nxt), a largest union of f chains, is kept in
+    p.derived["flows"] for saturation.max_kfamily; at most sqrt(2n) are.
+    """
+    n = p.n
+    src, snk = 2 * n, 2 * n + 1
+    prv, nxt = [None] * n, [None] * n
+    arcs = _residual(p, prv, nxt)
     # Initial potentials: shortest distances from s, found in one pass in
-    # topological order, since the network is a DAG with negative costs.
-    # With h[x] the longest chain ending at x, x_in lies at 1 - h[x],
-    # x_out at -h[x] and t at minus the height.
+    # topological order over the DAG.  With h[x] the longest chain ending
+    # at x, x_in lies at 1 - h[x], x_out at -h[x] and t at minus the height.
     h = chain_lengths(p)
     pot = [v for x in range(n) for v in (1 - h[x], -h[x])] + [0, -max(h)]
     e = [0]
-    kept = p.derived["chains"] = {}
+    kept = p.derived["flows"] = {}
     while True:
-        dist = {src: 0}
-        via = {}
-        heap = [(0, src)]
+        # s -> x_in costs 0, and s stays at potential 0.
+        dist = {2 * x: -pot[2 * x] for x in range(n)}
+        via = dict.fromkeys(dist, src)
+        heap = sorted((d, u) for u, d in dist.items())
         while heap:
             d, u = heapq.heappop(heap)
             if d > dist[u] or u == snk:
@@ -124,7 +128,7 @@ def chain_unions(p):
         step = 0 if snk not in dist or pot[snk] >= 0 else -pot[snk]
         f = len(e) - 1
         if f and e[f] - e[f - 1] > max(step, 1):
-            kept[f] = tuple(chain(x) for x in range(n) if prv[x] == src)
+            kept[f] = prv[:], nxt[:]
         if not step:
             return tuple(e)
         e.append(e[-1] + step)
@@ -168,8 +172,6 @@ def d_sequence(p):
 
 def dk(p, k):
     """Size of a largest k-family; n for every k at or above the height."""
-    if k < 1:
-        raise BadK("k must be positive")
     return d_sequence(p).at(k)
 
 

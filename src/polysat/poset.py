@@ -84,17 +84,17 @@ class Realizer(Value):
 class Poset:
     """An immutable strict order on 0..n-1.
 
-    up[x] is the bitmask of elements strictly above x; down[x] the mask of
-    elements strictly below.  Construction validates irreflexivity,
-    antisymmetry, transitivity and topological indexing in O(n + covers)
-    row steps.
+    up[x] is the bitmask of elements strictly above x, down[x] of those
+    strictly below, and covers[x] the ascending tuple of x's upper covers,
+    kept from the walk that validates irreflexivity, antisymmetry,
+    transitivity and topological indexing in O(n + covers) row steps.
     names and realizer are given at construction and, like the order,
     never change; equality and hashing look at the order only.  derived
     caches values of the order, such as the d sequence, once per
     instance; a copy or a pickle is built from the rest and starts empty.
     """
 
-    __slots__ = ("n", "up", "down", "names", "realizer", "derived")
+    __slots__ = ("n", "up", "down", "covers", "names", "realizer", "derived")
 
     def __init__(self, n, up, names=None, realizer=None):
         if n < 1:
@@ -102,6 +102,8 @@ class Poset:
         up = tuple(up)
         if len(up) != n:
             raise ValueError("up must have one row per element")
+        if names is not None and len(names) != n:
+            raise ValueError("names must have one entry per element")
         full_above = (1 << n) - 1
         for x in range(n):
             row = up[x]
@@ -114,7 +116,7 @@ class Poset:
         # Rows above x are closed when x is walked, so each lowest y left is
         # a cover, and x's row is closed iff it holds their rows.  Negative
         # rows never empty; the range checks have refused them.
-        lower = [[] for _ in range(n)]
+        covers = [[] for _ in range(n)]
         for x in range(n - 1, -1, -1):
             row = rest = up[x]
             while rest:
@@ -122,15 +124,16 @@ class Poset:
                 y = low.bit_length() - 1
                 if up[y] & ~row:
                     raise ValueError("relation is not transitive")
-                lower[y].append(x)
+                covers[x].append(y)
                 rest &= ~(low | up[y])
         down = [0] * n
-        for y in range(n):
-            for x in lower[y]:
+        for x in range(n):
+            for y in covers[x]:
                 down[y] |= down[x] | 1 << x
         _set(self, "n", n)
         _set(self, "up", up)
         _set(self, "down", tuple(down))
+        _set(self, "covers", tuple(map(tuple, covers)))
         _set(self, "names", tuple(names) if names is not None else None)
         _set(self, "realizer", realizer)
         _set(self, "derived", {})
@@ -204,7 +207,8 @@ def from_covers(n, covers, names=None, realizer=None):
         for y in succs[x]:
             m |= (1 << mapping[y]) | up[mapping[y]]
         up[mapping[x]] = m
-    if names is not None:
+    # Names of another length go on unrelabelled, for Poset to refuse.
+    if names is not None and len(names) == n:
         names = [names[x] for x in order]
     if realizer is not None:
         realizer = Realizer(
@@ -215,22 +219,16 @@ def from_covers(n, covers, names=None, realizer=None):
 
 
 def cover_relations(p):
-    """Transitive reduction as sorted (x, y) pairs, by Poset's cover walk."""
-    out = []
-    for x in range(p.n):
-        rest = p.up[x]
-        while rest:
-            y = (rest & -rest).bit_length() - 1
-            out.append((x, y))
-            rest &= ~(1 << y | p.up[y])
-    return out
+    """Transitive reduction as sorted (x, y) pairs, from p's covers."""
+    return [(x, y) for x in range(p.n) for y in p.covers[x]]
 
 
 def chain_lengths(p):
-    """Longest chain ending at each element; covers come sorted by x."""
+    """Longest chain ending at each element, in one pass over the covers."""
     h = [1] * p.n
-    for x, y in cover_relations(p):
-        h[y] = max(h[y], h[x] + 1)
+    for x in range(p.n):
+        for y in p.covers[x]:
+            h[y] = max(h[y], h[x] + 1)
     return h
 
 

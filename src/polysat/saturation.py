@@ -45,7 +45,7 @@ from .errors import (
     PartitionMismatch,
     SizeLimitExceeded,
 )
-from .kfamily import d_sequence, dk
+from .kfamily import _residual, d_sequence, dk
 from .poset import Value, _set, bits
 
 DEFAULT_LIMIT_N = 16
@@ -88,6 +88,8 @@ class ChainPartition(Value):
             if not chain.is_valid(poset):
                 raise PartitionMismatch("block is not a chain")
             m = chain.mask()
+            if not m:
+                raise PartitionMismatch("block is empty")
             if m & seen:
                 raise PartitionMismatch("blocks overlap")
             seen |= m
@@ -156,14 +158,14 @@ def max_kfamily(p, k):
     k (Greene's theorem: the two difference sequences are conjugate
     partitions), so f chains are a cheapest flow when each chain costs k,
     and the flow kept a largest union of f chains.  Let pi be shortest
-    distances from s in its residual network, every arc but x_in -> x_out
-    uncapacitated, with s -> x_in costing k and the return arc t -> s
-    carrying the flow.  A_k is the set of x whose arc x_in -> x_out has
-    nonnegative reduced cost, pi(x_out) <= pi(x_in) - 1.  Along any chain pi
-    starts at most k at its lowest x_in, never rises, drops at each element
-    of A_k and ends at least pi(t) = 0, so A_k meets it in at most k
-    elements; complementary slackness gives |A_k| = d_k.  Both facts are
-    checked, and a failure raises AssertionError.
+    distances from s in kfamily._residual's network of that flow, with
+    s -> x_in costing k and the return arc t -> s carrying the flow.  A_k
+    is the set of x whose arc x_in -> x_out has nonnegative reduced cost,
+    pi(x_out) <= pi(x_in) - 1.  Along any chain pi starts at most k at its
+    lowest x_in, never rises, drops at each element of A_k and ends at
+    least pi(t) = 0, so A_k meets it in at most k elements; complementary
+    slackness gives |A_k| = d_k.  Both facts are checked, and a failure
+    raises AssertionError.
     """
     if k < 1:
         raise BadK("k must be positive")
@@ -171,41 +173,17 @@ def max_kfamily(p, k):
     n = p.n
     if k >= len(seq.d):
         return (1 << n) - 1
-    chains = p.derived["chains"][seq.d[k] - seq.d[k - 1]]
-    # Node 2x is x_in, 2x+1 is x_out and 2n is t.  s is not a node: it
-    # starts every x_in at k and t at 0.  No distance exceeds k, so k + 1
-    # marks a node not yet reached.  prv[y] is the element before y on its
-    # chain; ends are the chains' top elements.
-    covered = 0
-    prv = [None] * n
-    for chain in chains:
-        for x, y in zip(chain, chain[1:]):
-            prv[y] = x
-        for x in chain:
-            covered |= 1 << x
-    ends = [chain[-1] for chain in chains]
-    snk = 2 * n
-    dist = [k, k + 1] * n + [0]
+    arcs = _residual(p, *p.derived["flows"][seq.d[k] - seq.d[k - 1]])
+    # s (slot 2n) is never reached: it starts each x_in at k and t at 0.
+    # No distance exceeds k, so k + 1 marks a node not yet reached.
+    dist = [k, k + 1] * n + [k, 0]
     queue = deque(range(0, 2 * n, 2))
-    queue.append(snk)
-    queued = [True, False] * n + [True]
+    queue.append(2 * n + 1)
+    queued = [True, False] * n + [False, True]
     while queue:
         u = queue.popleft()
         queued[u] = False
-        x = u >> 1
-        if u == snk:
-            arcs = [(2 * y + 1, 0) for y in ends]
-        elif not u & 1:
-            if not covered >> x & 1:
-                arcs = [(u + 1, -1)]
-            else:
-                arcs = [] if prv[x] is None else [(2 * prv[x] + 1, 0)]
-        else:
-            arcs = [(2 * y, 0) for y in bits(p.up[x])]
-            arcs.append((snk, 0))
-            if covered >> x & 1:
-                arcs.append((u - 1, 1))
-        for v, cost in arcs:
+        for v, cost in arcs(u):
             if dist[u] + cost < dist[v]:
                 dist[v] = dist[u] + cost
                 if not queued[v]:

@@ -21,9 +21,13 @@ chain_lengths made before they walked covers only.
 verify_realizer_pairs and conjugate_pairs are verify_realizer and
 conjugate as they were before they read the order of a realizer off
 suffix masks: they compare the two permutations' positions pair by pair.
+max_kfamily_from_chains is max_kfamily on the network it built for itself
+from the flow's chains, before kfamily._residual gave the flow and the
+dual one network.
 """
 
 import itertools
+from collections import deque
 
 from polysat.errors import BadK, InvalidRealizer, SizeLimitExceeded
 from polysat.poset import Poset, Realizer, Value, _set, bits, height
@@ -588,3 +592,66 @@ def conjugate_pairs(p, r=None):
         if q.up[i] | q.down[i] != full & ~mapped & ~(1 << i):
             raise AssertionError("conjugate's graph is not the complement")
     return q
+
+
+def max_kfamily_from_chains(p, k):
+    """A largest k-family as a mask, by shortest distances on a network of
+    its own, read off the chain tuples of the flow that d_sequence kept:
+    every arc but x_in -> x_out uncapacitated, s -> x_in costing k and the
+    return arc t -> s carrying the flow."""
+    seq = d_sequence(p)
+    n = p.n
+    if k >= len(seq.d):
+        return (1 << n) - 1
+    starts, nxt = p.derived["flows"][seq.d[k] - seq.d[k - 1]]
+    chains = []
+    for x in range(n):
+        if starts[x] == 2 * n:
+            chain = [x]
+            while nxt[chain[-1]] != 2 * n + 1:
+                chain.append(nxt[chain[-1]])
+            chains.append(tuple(chain))
+    # Node 2x is x_in, 2x+1 is x_out and 2n is t.  s is not a node: it
+    # starts every x_in at k and t at 0.  No distance exceeds k, so k + 1
+    # marks a node not yet reached.  prv[y] is the element before y on its
+    # chain; ends are the chains' top elements.
+    covered = 0
+    prv = [None] * n
+    for chain in chains:
+        for x, y in zip(chain, chain[1:]):
+            prv[y] = x
+        for x in chain:
+            covered |= 1 << x
+    ends = [chain[-1] for chain in chains]
+    snk = 2 * n
+    dist = [k, k + 1] * n + [0]
+    queue = deque(range(0, 2 * n, 2))
+    queue.append(snk)
+    queued = [True, False] * n + [True]
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        x = u >> 1
+        if u == snk:
+            arcs = [(2 * y + 1, 0) for y in ends]
+        elif not u & 1:
+            if not covered >> x & 1:
+                arcs = [(u + 1, -1)]
+            else:
+                arcs = [] if prv[x] is None else [(2 * prv[x] + 1, 0)]
+        else:
+            arcs = [(2 * y, 0) for y in bits(p.up[x])]
+            arcs.append((snk, 0))
+            if covered >> x & 1:
+                arcs.append((u - 1, 1))
+        for v, cost in arcs:
+            if dist[u] + cost < dist[v]:
+                dist[v] = dist[u] + cost
+                if not queued[v]:
+                    queued[v] = True
+                    queue.append(v)
+    family = 0
+    for x in range(n):
+        if dist[2 * x + 1] <= dist[2 * x] - 1:
+            family |= 1 << x
+    return family

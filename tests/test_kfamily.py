@@ -20,10 +20,12 @@ from polysat import (
     ranks,
     width,
 )
-from polysat.errors import NotRanked
+from polysat.errors import BadK, NotRanked
+from polysat.graphdual import conjugate
 from polysat.kfamily import chain_unions
 from polysat.saturation import max_kfamily
-from oracles import dk_branch_and_bound, dk_oracle
+from oracles import dk_branch_and_bound, dk_oracle, max_kfamily_from_chains
+from test_cover_walks import sample_posets
 from util import posets, random_poset, seeded
 
 
@@ -78,6 +80,10 @@ def test_dk_p2():
     p, _ = build_pj(2)
     assert [dk(p, k) for k in range(1, 5)] == [2, 4, 5, 6]
     assert dk(p, 9) == 6
+    with pytest.raises(BadK):
+        d_sequence(p).at(0)
+    with pytest.raises(BadK):
+        d_sequence(p).at(-1)
 
 
 def test_chain_unions_examples():
@@ -139,9 +145,19 @@ def test_max_kfamily_raises_when_its_check_fails():
     p = build_pj(3)[0]
     d_sequence(p)
     # With no chains kept, every element would join A_1.
-    p.derived["chains"] = dict.fromkeys(p.derived["chains"], ())
+    empty = [None] * p.n, [None] * p.n
+    p.derived["flows"] = dict.fromkeys(p.derived["flows"], empty)
     with pytest.raises(AssertionError, match="wrong size"):
         max_kfamily(p, 1)
+
+
+def test_max_kfamily_matches_the_chain_tuple_network():
+    conjugates = [
+        conjugate(from_delta(b)) for b in ((5, 5, 3, 2, 1, 1), (6, 5, 4, 1, 1))
+    ]
+    for p in [*sample_posets(), *conjugates]:
+        for k in range(1, height(p) + 1):
+            assert max_kfamily(p, k) == max_kfamily_from_chains(p, k)
 
 
 def test_flow_reroutes_a_chain_around_an_element():

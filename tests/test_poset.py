@@ -89,6 +89,12 @@ def test_poset_checks_its_rows():
     with pytest.raises(IndexOutOfRange):
         Poset(3, [0b010, 0b100, 0b1000])
     assert Poset(3, [0b110, 0b100, 0]).down == (0, 0b001, 0b011)
+    # Names of the wrong length are refused, before from_covers relabels.
+    for names in (["a"], ["a", "b", "c"]):
+        with pytest.raises(ValueError, match="names"):
+            from_covers(2, [], names=names)
+    with pytest.raises(ValueError, match="names"):
+        Poset(3, [0, 0, 0], names=["a"])
 
 
 def test_poset_is_immutable():

@@ -70,6 +70,8 @@ def test_partition_validation():
     q = antichain_poset(2)
     with pytest.raises(PartitionMismatch):
         ChainPartition(q, (Chain((0, 1)),))
+    with pytest.raises(PartitionMismatch, match="empty"):
+        ChainPartition(chain_poset(1), (Chain(()), Chain((0,))))
 
 
 def test_is_k_saturated_examples():
