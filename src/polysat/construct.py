@@ -1,26 +1,20 @@
 """Builders for the narrow polyunsaturated posets and their certificates.
 
 build_pj makes the inductive tower of overlapping chains Q_1..Q_j (one new
-cover s_{j-1} <. s_j per stage); from_delta realizes any admissible
-difference sequence by the recursive disjoint-union construction.  The
-chains and unions it joins, and the ranks that DOT export aligns, live
-here too, out of the modules that dk-table loads.
+cover s_{j-1} <. s_j per stage); from_delta joins a tower with the chains
+peeled off any admissible difference sequence.  Each builds one Poset and
+proves its width with a Dilworth certificate, chains that partition it
+with pairwise incomparable tops, not with a matching.  The ranks that DOT
+export aligns live here too, out of the modules that dk-table loads.
 """
 
 import math
+from itertools import accumulate, chain
 
 from .errors import BadK, BadParameters, EmptyPoset, Infeasible, InvalidDelta
 from .io import check_size
 from .kfamily import DeltaSequence
-from .poset import (
-    Poset,
-    Realizer,
-    Value,
-    _set,
-    cover_relations,
-    height,
-    width,
-)
+from .poset import Poset, Realizer, Value, _set, cover_relations, height
 
 
 class PjLabels(Value):
@@ -52,45 +46,55 @@ class FeasibilityVerdict(Value):
         _set(self, "failed_conditions", failed_conditions)
 
 
+def _union(parts):
+    """The order of raw parts (up, names, realizer) with no relations
+    between them, numbered in turn; names and realizer are those that a
+    fold of binary unions gives."""
+    if len(parts) == 1:
+        return Poset(len(parts[0][0]), *parts[0])
+    up, names, ext1, ext2 = [], None, [], []
+    for rows, part_names, realizer in parts:
+        shift = len(up)
+        up += [m << shift for m in rows]
+        # Unnamed parts before the first named one keep their union indices.
+        if names is None and part_names:
+            names = [str(x) for x in range(shift)]
+        if names is not None:
+            names += part_names or map(str, range(len(rows)))
+        if realizer is not None:
+            # Each part is appended in ext1 and prepended in ext2: the
+            # parts stay incomparable while each keeps its own realizer.
+            ext1 += [x + shift for x in realizer.ext1]
+            ext2[:0] = [x + shift for x in realizer.ext2]
+    if any(part[2] is None for part in parts):
+        return Poset(len(up), up, names)
+    return Poset(len(up), up, names, Realizer(tuple(ext1), tuple(ext2)))
+
+
 def disjoint_union(*parts):
-    """Order with no relations between the parts, numbered in turn; names
-    and realizer are those that a fold of binary unions gives."""
+    """Order with no relations between the posets, numbered in turn."""
     if None in parts:
         raise EmptyPoset("disjoint_union needs posets, not None")
     if len(parts) == 1:
         return parts[0]
-    up, names, ext1, ext2 = [], None, [], []
-    for q in parts:
-        shift = len(up)
-        up += [m << shift for m in q.up]
-        # Unnamed parts before the first named one keep their union indices.
-        if names is None and q.names is not None:
-            names = [str(x) for x in range(shift)]
-        if names is not None:
-            names += [q.name(x) for x in range(q.n)]
-        if q.realizer is not None:
-            # Each part is appended in ext1 and prepended in ext2: the
-            # parts stay incomparable while each keeps its own realizer.
-            ext1 += [x + shift for x in q.realizer.ext1]
-            ext2[:0] = [x + shift for x in q.realizer.ext2]
-    realizer = None
-    if all(q.realizer is not None for q in parts):
-        realizer = Realizer(tuple(ext1), tuple(ext2))
-    return Poset(len(up), up, names=names, realizer=realizer)
+    return _union([(q.up, q.names, q.realizer) for q in parts])
+
+
+def _chain(t):
+    """Raw part of a t-chain: its rows, no names and the trivial realizer."""
+    ext = tuple(range(t))
+    return [(1 << t) - (2 << x) for x in range(t)], None, Realizer(ext, ext)
 
 
 def chain_poset(t, names=None):
     """A single chain of t elements, carrying the trivial realizer."""
-    up = [(((1 << t) - 1) >> (x + 1)) << (x + 1) for x in range(t)]
-    ext = tuple(range(t))
-    return Poset(t, up, names=names, realizer=Realizer(ext, ext))
+    up, _, realizer = _chain(t)
+    return Poset(t, up, names=names, realizer=realizer)
 
 
 def antichain_poset(t, names=None):
     ext = tuple(range(t))
-    return Poset(
-        t, [0] * t, names=names, realizer=Realizer(ext, tuple(reversed(ext)))
-    )
+    return Poset(t, [0] * t, names=names, realizer=Realizer(ext, ext[::-1]))
 
 
 def ranks(p):
@@ -126,50 +130,54 @@ def ranks(p):
     return classes
 
 
+def _tower(j):
+    """Raw part of P_j, (up, names, realizer), and its blocks Q_1..Q_j as
+    ranges; P_0 and below are empty."""
+    names, Q = [], []
+    for i in range(1, j + 1):
+        start = len(names)
+        names += ["u"] if i == 1 else [f"t{i}.{m}" for m in range(1, i)]
+        names += [f"s{i}", f"r{i}"]
+        Q.append(range(start, len(names)))
+    # Each element of Q_i but r_i is below the rest of Q_i, and s_i is
+    # below s_{i+1}, so each is below every s_k and r_k with k > i.
+    up, above = [0] * len(names), 0
+    for q in reversed(Q):
+        for x in q[:-1]:
+            up[x] = (2 << q[-1]) - (2 << x) | above
+        above |= 1 << q[-2] | 1 << q[-1]
+    s, r = [q[-2] for q in Q], [q[-1] for q in Q]
+    # The two linear extensions certifying dimension <= 2: the blocks
+    # T_i s_i r_i in turn, then T_j .. T_1, every s_i and the r_i backwards.
+    ext2 = [x for q in reversed(Q) for x in q[:-2]] + s + r[::-1]
+    return (up, names, Realizer(tuple(range(len(names))), tuple(ext2))), Q
+
+
+def _certify(p, shape, blocks):
+    """p, checked to have shape (n, height, width): ascending blocks that
+    partition p into chains number at least its width, and their tops,
+    pairwise incomparable, are an antichain as large (Dilworth)."""
+    up, tops = p.up, sum(1 << block[-1] for block in blocks)
+    if not (
+        (p.n, height(p), len(blocks)) == shape
+        and sorted(chain.from_iterable(blocks)) == list(range(p.n))
+        and all(up[x] >> y & 1 for b in blocks for x, y in zip(b, b[1:]))
+        and not any(up[b[-1]] & tops for b in blocks)
+    ):
+        raise AssertionError(f"the blocks do not certify (n, c, a) = {shape}")
+    return p
+
+
 def build_pj(j):
     """The j-th tower poset with labels: width j, height j+2, n=C(j+2,2)."""
     if j < 1:
         raise BadParameters("j must be positive")
     check_size(math.comb(j + 2, 2))
-    covers = []
-    names = []
-    q_blocks = []
-    s_raw = []
-    r_raw = []
-    t_raw = []
-    for i in range(1, j + 1):
-        start = len(names)
-        size = 3 if i == 1 else i + 1
-        block = list(range(start, start + size))
-        if i == 1:
-            names += ["u", "s1", "r1"]
-            t_raw.append([block[0]])
-        else:
-            names += [f"t{i}.{m}" for m in range(1, i)] + [f"s{i}", f"r{i}"]
-            t_raw.append(block[:-2])
-        for a, b in zip(block, block[1:]):
-            covers.append((a, b))
-        if i > 1:
-            covers.append((s_raw[-1], block[-2]))
-        s_raw.append(block[-2])
-        r_raw.append(block[-1])
-        q_blocks.append(block)
-    # The two linear extensions certifying dimension <= 2: the blocks
-    # T_i s_i r_i in turn, then T_j .. T_1, every s_i and the r_i backwards.
-    ext2 = [x for block in reversed(t_raw) for x in block]
-    ext2 += s_raw + r_raw[::-1]
-    realizer = Realizer(tuple(range(len(names))), tuple(ext2))
-    # Every cover goes up in index, so the rows close top down.
-    up = [0] * len(names)
-    for a, b in sorted(covers, reverse=True):
-        up[a] |= 1 << b | up[b]
-    p = Poset(len(names), up, names=names, realizer=realizer)
-    T = tuple(map(frozenset, t_raw))
-    Q = tuple(map(frozenset, q_blocks))
-    labels = PjLabels(u=0, s=tuple(s_raw), r=tuple(r_raw), T=T, Q=Q)
-    if p.n != math.comb(j + 2, 2) or (height(p), width(p)) != (j + 2, j):
-        raise AssertionError(f"P_{j} has the wrong size, height or width")
-    return p, labels
+    part, Q = _tower(j)
+    p = _certify(_union([part]), (math.comb(j + 2, 2), j + 2, j), Q)
+    s, r = tuple(q[-2] for q in Q), tuple(q[-1] for q in Q)
+    T = tuple(frozenset(q[:-2]) for q in Q)
+    return p, PjLabels(0, s, r, T, tuple(map(frozenset, Q)))
 
 
 def ck_partition(j, k):
@@ -186,10 +194,7 @@ def ck_partition(j, k):
         raise BadK(f"need 1 <= k <= {j}")
     spine = {labels.u} | set(labels.s[:k]) | {labels.r[k - 1]}
     chains = [Chain(tuple(sorted(spine)))]
-    for block in labels.Q:
-        rest = sorted(set(block) - spine)
-        if rest:
-            chains.append(Chain(tuple(rest)))
+    chains += [Chain(tuple(sorted(q - spine))) for q in labels.Q if q - spine]
     cp = ChainPartition(p, tuple(chains))
     if not (is_k_saturated(p, cp, k) and is_k_saturated(p, cp, k + 1)):
         raise AssertionError(f"C_{k} of P_{j} is not {k}/{k + 1}-saturated")
@@ -200,9 +205,7 @@ def lower_bounds(c):
     """Elementwise minimum of an admissible sequence: (c-2, c-2, ..., 1, 1)."""
     if c < 3:
         raise BadParameters("need c >= 3")
-    return DeltaSequence(
-        (c - 2,) + tuple(c - i for i in range(2, c)) + (1,)
-    )
+    return DeltaSequence((c - 2, *range(c - 2, 0, -1), 1))
 
 
 def upper_bounds(c, a):
@@ -211,9 +214,7 @@ def upper_bounds(c, a):
         raise BadParameters("need c >= 3")
     if a < c - 2:
         raise BadParameters("need a >= c - 2")
-    return DeltaSequence(
-        (a,) + tuple(a - i + 2 for i in range(2, c)) + (a - c + 3,)
-    )
+    return DeltaSequence((a, *range(a, a - c + 2, -1), a - c + 3))
 
 
 def _conjugate_partition(b):
@@ -230,9 +231,7 @@ def from_delta(b):
     the last peeled first.  Heights below 3 are disjoint chains sized by
     the conjugate partition.
     """
-    if not isinstance(b, DeltaSequence):
-        b = DeltaSequence(tuple(b))
-    b = b.b
+    b = (b if isinstance(b, DeltaSequence) else DeltaSequence(tuple(b))).b
     for i in range(1, len(b) - 2):
         if b[i] <= b[i + 1]:
             raise InvalidDelta(
@@ -242,16 +241,17 @@ def from_delta(b):
     check_size(sum(b))
     c = len(b)
     if c < 3:
-        parts, chains = [], _conjugate_partition(b)
+        chains = _conjugate_partition(b)
     else:
-        lower = lower_bounds(c).b
-        chains = []
-        while sum(b) > math.comb(c, 2):
-            t = max(i for i in range(c) if b[i] > lower[i]) + 1
-            b = tuple(x - 1 if i < t else x for i, x in enumerate(b))
-            chains.insert(0, t)
-        parts = [build_pj(c - 2)[0]]
-    return disjoint_union(*parts, *map(chain_poset, chains))
+        # A peel of t lowers the first t entries of the nonincreasing excess
+        # over the lower bounds: the chains are its conjugate partition.
+        excess = [x - y for x, y in zip(b, lower_bounds(c).b)]
+        chains = _conjugate_partition(excess)[::-1]
+    part, Q = _tower(c - 2)
+    starts = list(accumulate(chains, initial=len(part[0])))
+    blocks = [*Q, *map(range, starts, starts[1:])]
+    p = _union([part, *map(_chain, chains)])
+    return _certify(p, (sum(b), c, b[0]), blocks)
 
 
 def feasible_nca(n, c, a):
@@ -268,9 +268,7 @@ def feasible_nca(n, c, a):
         failed.append("n_lower")
     if n > c * a + 1 - math.comb(c - 1, 2):
         failed.append("n_upper")
-    return FeasibilityVerdict(
-        feasible=not failed, failed_conditions=tuple(failed)
-    )
+    return FeasibilityVerdict(not failed, tuple(failed))
 
 
 def sequence_for(n, c, a):
@@ -288,8 +286,7 @@ def sequence_for(n, c, a):
     ub = upper_bounds(c, a).b
     deficit = n - sum(b)
     for i in range(1, c):
-        room = ub[i] - b[i]
-        add = min(room, deficit)
+        add = min(ub[i] - b[i], deficit)
         b[i] += add
         deficit -= add
     if deficit:
@@ -313,9 +310,11 @@ def feasible_nc(n, c):
 
 
 def realize_nca(n, c, a):
-    """Convenience: sequence_for followed by from_delta, sanity-checked."""
+    """sequence_for followed by from_delta, which certifies the sequence's
+    sum, length and first entry as its output's n, height and width."""
     check_size(n)
-    p = from_delta(sequence_for(n, c, a))
-    if not (p.n == n and height(p) == c and width(p) == a):
+    b = sequence_for(n, c, a)
+    p = from_delta(b)
+    if (p.n, b.c, b.b[0]) != (n, c, a):
         raise AssertionError(f"realization misses (n={n}, c={c}, a={a})")
     return p

@@ -31,26 +31,30 @@ def poset_to_obj(p):
     return obj
 
 
-def _ints(seq, length=None):
-    """True iff seq is a list of integers, of the given length if any."""
-    return (
-        isinstance(seq, list)
-        and all(isinstance(x, int) and not isinstance(x, bool) for x in seq)
-        and length in (None, len(seq))
-    )
+def _int_rows(rows, count=None, length=None):
+    """True iff rows is a list of count lists of length ints; None is any."""
+    if not (
+        isinstance(rows, list)
+        and count in (None, len(rows))
+        and all(issubclass(t, list) for t in set(map(type, rows)))
+        and (length is None or set(map(len, rows)) <= {length})
+    ):
+        return False
+    kinds = {type(x) for row in rows for x in row}
+    return all(issubclass(t, int) and t is not bool for t in kinds)
 
 
 def poset_from_obj(obj, realizer=None):
     """Validate a decoded poset object and build the poset it describes.
     A realizer given here, in the object's labels, replaces its own."""
-    if not (isinstance(obj, dict) and _ints([obj.get("n")])):
+    if not (isinstance(obj, dict) and _int_rows([[obj.get("n")]])):
         raise BadParameters("malformed poset JSON: need an integer n")
     n = obj["n"]
     check_size(n)
     covers = obj.get("covers", [])
     names = obj.get("names")
     carried = obj.get("realizer")
-    if not (isinstance(covers, list) and all(_ints(c, 2) for c in covers)):
+    if not _int_rows(covers, length=2):
         raise BadParameters("covers must be a list of [x, y] integer pairs")
     if names is not None and not (
         isinstance(names, list)
@@ -59,11 +63,7 @@ def poset_from_obj(obj, realizer=None):
     ):
         raise BadParameters("names must be a list of n strings")
     if carried is not None:
-        if not (
-            isinstance(carried, list)
-            and len(carried) == 2
-            and all(_ints(e) for e in carried)
-        ):
+        if not _int_rows(carried, count=2):
             raise BadParameters("realizer must be two lists of integers")
         carried = Realizer(*map(tuple, carried))
     return from_covers(n, covers, names, realizer or carried)[0]

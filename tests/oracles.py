@@ -24,13 +24,28 @@ suffix masks: they compare the two permutations' positions pair by pair.
 max_kfamily_from_chains is max_kfamily on the network it built for itself
 from the flow's chains, before kfamily._residual gave the flow and the
 dual one network.
+build_pj_covers and from_delta_unions are build_pj and from_delta as they
+were before each built one Poset: the tower closed from its covers and
+checked by a matching, and the tower joined with one chain Poset per
+peeled chain by a fold of validated unions.
 """
 
 import itertools
+import math
 from collections import deque
 
-from polysat.errors import BadK, InvalidRealizer, SizeLimitExceeded
-from polysat.poset import Poset, Realizer, Value, _set, bits, height
+from polysat.construct import PjLabels, lower_bounds
+from polysat.errors import (
+    BadK,
+    BadParameters,
+    EmptyPoset,
+    InvalidDelta,
+    InvalidRealizer,
+    SizeLimitExceeded,
+)
+from polysat.io import check_size
+from polysat.kfamily import DeltaSequence
+from polysat.poset import Poset, Realizer, Value, _set, bits, height, width
 from polysat.kfamily import d_sequence
 from polysat.saturation import (
     DEFAULT_LIMIT_N,
@@ -655,3 +670,116 @@ def max_kfamily_from_chains(p, k):
         if dist[2 * x + 1] <= dist[2 * x] - 1:
             family |= 1 << x
     return family
+
+
+def build_pj_covers(j):
+    """build_pj closing the tower's cover list and checking its height and
+    width, the latter by bipartite matching."""
+    if j < 1:
+        raise BadParameters("j must be positive")
+    check_size(math.comb(j + 2, 2))
+    covers = []
+    names = []
+    q_blocks = []
+    s_raw = []
+    r_raw = []
+    t_raw = []
+    for i in range(1, j + 1):
+        start = len(names)
+        size = 3 if i == 1 else i + 1
+        block = list(range(start, start + size))
+        if i == 1:
+            names += ["u", "s1", "r1"]
+            t_raw.append([block[0]])
+        else:
+            names += [f"t{i}.{m}" for m in range(1, i)] + [f"s{i}", f"r{i}"]
+            t_raw.append(block[:-2])
+        for a, b in zip(block, block[1:]):
+            covers.append((a, b))
+        if i > 1:
+            covers.append((s_raw[-1], block[-2]))
+        s_raw.append(block[-2])
+        r_raw.append(block[-1])
+        q_blocks.append(block)
+    # The two linear extensions certifying dimension <= 2: the blocks
+    # T_i s_i r_i in turn, then T_j .. T_1, every s_i and the r_i backwards.
+    ext2 = [x for block in reversed(t_raw) for x in block]
+    ext2 += s_raw + r_raw[::-1]
+    realizer = Realizer(tuple(range(len(names))), tuple(ext2))
+    # Every cover goes up in index, so the rows close top down.
+    up = [0] * len(names)
+    for a, b in sorted(covers, reverse=True):
+        up[a] |= 1 << b | up[b]
+    p = Poset(len(names), up, names=names, realizer=realizer)
+    T = tuple(map(frozenset, t_raw))
+    Q = tuple(map(frozenset, q_blocks))
+    labels = PjLabels(u=0, s=tuple(s_raw), r=tuple(r_raw), T=T, Q=Q)
+    if p.n != math.comb(j + 2, 2) or (height(p), width(p)) != (j + 2, j):
+        raise AssertionError(f"P_{j} has the wrong size, height or width")
+    return p, labels
+
+
+def _disjoint_union_posets(*parts):
+    """Order with no relations between the parts, numbered in turn; names
+    and realizer are those that a fold of binary unions gives."""
+    if None in parts:
+        raise EmptyPoset("disjoint_union needs posets, not None")
+    if len(parts) == 1:
+        return parts[0]
+    up, names, ext1, ext2 = [], None, [], []
+    for q in parts:
+        shift = len(up)
+        up += [m << shift for m in q.up]
+        # Unnamed parts before the first named one keep their union indices.
+        if names is None and q.names is not None:
+            names = [str(x) for x in range(shift)]
+        if names is not None:
+            names += [q.name(x) for x in range(q.n)]
+        if q.realizer is not None:
+            # Each part is appended in ext1 and prepended in ext2: the
+            # parts stay incomparable while each keeps its own realizer.
+            ext1 += [x + shift for x in q.realizer.ext1]
+            ext2[:0] = [x + shift for x in q.realizer.ext2]
+    realizer = None
+    if all(q.realizer is not None for q in parts):
+        realizer = Realizer(tuple(ext1), tuple(ext2))
+    return Poset(len(up), up, names=names, realizer=realizer)
+
+
+def _chain_poset(t, names=None):
+    """A single chain of t elements, carrying the trivial realizer."""
+    up = [(((1 << t) - 1) >> (x + 1)) << (x + 1) for x in range(t)]
+    ext = tuple(range(t))
+    return Poset(t, up, names=names, realizer=Realizer(ext, ext))
+
+
+def _conjugate_partition(b):
+    """Column counts of the Ferrers diagram of b."""
+    return [sum(1 for x in b if x >= m) for m in range(1, b[0] + 1)]
+
+
+def from_delta_unions(b):
+    """from_delta peeling one chain at a time and joining the tower and one
+    validated chain Poset per peeled chain by a union of Posets."""
+    if not isinstance(b, DeltaSequence):
+        b = DeltaSequence(tuple(b))
+    b = b.b
+    for i in range(1, len(b) - 2):
+        if b[i] <= b[i + 1]:
+            raise InvalidDelta(
+                f"interior entries must strictly decrease: b_{i + 1}={b[i]}"
+                f" vs b_{i + 2}={b[i + 1]}"
+            )
+    check_size(sum(b))
+    c = len(b)
+    if c < 3:
+        parts, chains = [], _conjugate_partition(b)
+    else:
+        lower = lower_bounds(c).b
+        chains = []
+        while sum(b) > math.comb(c, 2):
+            t = max(i for i in range(c) if b[i] > lower[i]) + 1
+            b = tuple(x - 1 if i < t else x for i, x in enumerate(b))
+            chains.insert(0, t)
+        parts = [build_pj_covers(c - 2)[0]]
+    return _disjoint_union_posets(*parts, *map(_chain_poset, chains))

@@ -7,7 +7,7 @@ import time
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polysat import (
@@ -16,6 +16,7 @@ from polysat import (
     chain_poset,
     disjoint_union,
     from_delta,
+    io,
     kfamily,
     saturation,
 )
@@ -146,6 +147,45 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=2), inner, max_size=2),
     max_leaves=4,
 )
+
+
+@pytest.mark.parametrize(
+    "covers", ["[[0, true]]", "[[0, 1.0]]", "[[0, 1, 2]]", "[[0]]", "[0]", '"x"']
+)
+def test_malformed_covers_exit_2(runner, covers):
+    stdin = '{"n": 2, "covers": ' + covers + "}"
+    result = invoke(runner, ["dk-table", "-"], stdin=stdin)
+    assert result.exit_code == 2
+    assert "covers must be a list of [x, y] integer pairs" in result.output
+
+
+def int_list_per_item(seq, length=None):
+    """The reader's list check as it tested each item in turn."""
+    return (
+        isinstance(seq, list)
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in seq)
+        and length in (None, len(seq))
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(json_values, max_size=3) | json_values)
+@example([])
+@example([[0, 1], [1, 2]])
+@example([[0, 1, 2], [2, 1, 0]])
+@example([[0, True], [1, 2]])
+@example([[0, 1], (1, 2)])
+def test_row_check_refuses_what_the_per_item_check_refused(value):
+    covers = isinstance(value, list) and all(
+        int_list_per_item(c, 2) for c in value
+    )
+    realizer = (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(int_list_per_item(e) for e in value)
+    )
+    assert io._int_rows(value, length=2) == covers
+    assert io._int_rows(value, count=2) == realizer
 
 
 @st.composite

@@ -1,12 +1,15 @@
 """Tower posets, delta-sequence realization, and feasibility predicates."""
 
+import hashlib
 import math
 
 import pytest
 
 from polysat import (
     build_pj,
+    chain_poset,
     ck_partition,
+    construct,
     delta_sequence,
     dk,
     enumerate_posets,
@@ -26,8 +29,12 @@ from polysat import (
     verify_realizer,
     width,
 )
+from polysat.construct import _certify
 from polysat.errors import BadK, BadParameters, Infeasible, InvalidDelta
-from oracles import isomorphic
+from polysat.io import dumps, export_dot
+from polysat import poset
+from polysat.poset import Poset, Realizer
+from oracles import build_pj_covers, from_delta_unions, isomorphic
 
 
 def all_valid_deltas(max_c, max_sum):
@@ -51,6 +58,25 @@ def all_valid_deltas(max_c, max_sum):
         for b in out
         if all(b[i] > b[i + 1] for i in range(1, len(b) - 2))
     ]
+
+
+def accepted_deltas(max_c, max_entry):
+    """Every nonincreasing sequence of length <= max_c and entries <=
+    max_entry that from_delta accepts, with its output."""
+    out = []
+
+    def rec(prefix):
+        if prefix:
+            try:
+                out.append((tuple(prefix), from_delta(prefix)))
+            except InvalidDelta:
+                pass
+        if len(prefix) < max_c:
+            for x in range(1, (prefix[-1] if prefix else max_entry) + 1):
+                rec(prefix + [x])
+
+    rec([])
+    return out
 
 
 def test_build_pj_parameters():
@@ -222,3 +248,110 @@ def test_feasible_nc_ca_against_every_small_poset():
             assert feasible_nc(n, c) == exists, (n, c)
     for _, c, a in found:
         assert feasible_ca(c, a), (c, a)
+
+
+def test_build_pj_matches_the_cover_closure_oracle():
+    for j in range(1, 40):
+        p, labels = build_pj(j)
+        q, oracle_labels = build_pj_covers(j)
+        assert (p.up, p.names, p.realizer) == (q.up, q.names, q.realizer)
+        assert labels == oracle_labels
+
+
+def test_from_delta_matches_the_union_oracle():
+    cases = accepted_deltas(6, 7)
+    assert len(cases) == 455
+    big = sequence_for(2000, 10, 250)
+    for b, p in cases + [(big, from_delta(big))]:
+        q = from_delta_unions(b)
+        assert (p.up, p.names, p.realizer) == (q.up, q.names, q.realizer)
+        assert dumps(p) == dumps(q)
+
+
+def test_from_delta_height_and_width_by_matching():
+    for b, p in accepted_deltas(6, 7):
+        assert (height(p), width(p)) == (len(b), b[0]), b
+
+
+def tower_blocks(j):
+    return [sorted(q) for q in build_pj(j)[1].Q]
+
+
+def test_certificate_accepts_the_tower_blocks():
+    p = build_pj(3)[0]
+    assert _certify(p, (10, 5, 3), tower_blocks(3)) is p
+
+
+@pytest.mark.parametrize(
+    "p, shape, blocks",
+    [
+        # Two incomparable elements as one block.
+        (Poset(2, [0, 0]), (2, 1, 1), [[0, 1]]),
+        # Chains that partition a 3-chain, but the tops 1 < 2: width 1.
+        (chain_poset(3), (3, 3, 2), [[0, 1], [2]]),
+        (chain_poset(3), (3, 3, 1), [[0, 1]]),
+        (chain_poset(3), (3, 3, 2), [[0, 1, 2], [2]]),
+        (build_pj(3)[0], (10, 4, 3), tower_blocks(3)),
+        # A block out of ascending order is no chain in p's indexing.
+        (chain_poset(3), (3, 3, 1), [[0, 2, 1]]),
+    ],
+    ids=[
+        "block-not-a-chain",
+        "comparable-tops",
+        "missing-element",
+        "repeated-element",
+        "wrong-height",
+        "block-out-of-order",
+    ],
+)
+def test_certificate_refuses_a_broken_proof(p, shape, blocks):
+    with pytest.raises(AssertionError):
+        _certify(p, shape, blocks)
+
+
+def test_each_construction_builds_one_poset_and_runs_no_matching(
+    monkeypatch,
+):
+    built = []
+    init = Poset.__init__
+
+    def counting(self, n, *args, **kwargs):
+        built.append(n)
+        init(self, n, *args, **kwargs)
+
+    def matching(p):
+        raise AssertionError("a constructor ran a matching")
+
+    monkeypatch.setattr(Poset, "__init__", counting)
+    monkeypatch.setattr(construct, "width", matching, raising=False)
+    monkeypatch.setattr(poset, "width", matching)
+    build_pj(7)
+    from_delta((11, 10, 8, 7, 6, 2, 1, 1))
+    from_delta((3, 2))
+    realize_nca(2000, 10, 250)
+    assert built == [36, 46, 5, 2000]
+
+
+def test_from_delta_checks_its_output(monkeypatch):
+    # Chains built as antichains give the wrong width, which must raise.
+    def antichain(t):
+        ext = tuple(range(t))
+        return [0] * t, None, Realizer(ext, ext[::-1])
+
+    monkeypatch.setattr(construct, "_chain", antichain)
+    with pytest.raises(AssertionError):
+        from_delta((3, 3, 2, 1))
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_constructor_bytes_at_max_n():
+    pj, nca = build_pj(61)[0], realize_nca(2000, 10, 250)
+    assert [sha256(f(p)) for p in (pj, nca) for f in (dumps, export_dot)] == [
+        "f727363c0d260f97b1fe72c10a29344e230f9309cbb3621984a0396e78d3101a",
+        "4b511ee97ab4e8fe319df47086e54253371eef2d4717829ea8715017bb52c035",
+        "670de3da098e4bd6894df6d0cda9100924dc992868dc1688653ce7ba341d8938",
+        "c22b6a2129a8edfe828cdea1ea433c5b29b988a0d6f62661a93c437e6bafd91e",
+    ]

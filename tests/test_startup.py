@@ -144,9 +144,9 @@ CEILINGS = {
     "certify": 1466,
     "saturate --ks 1,2": 1466,
     "dual --table": 1152,
-    "construct pj --j 3": 1392,
+    "construct pj --j 3": 1391,
     "enumerate --n 3": 918,
-    "feasible --n 6 --c 4 --a 2": 1392,
+    "feasible --n 6 --c 4 --a 2": 1391,
 }
 
 
