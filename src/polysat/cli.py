@@ -3,14 +3,13 @@
 Exit codes: 0 success / positive verdict, 1 negative verdict, 2 usage or
 limit errors.  JSON is the single interchange format; DOT is export-only.
 
-The parser is the standard library's argparse, and each command imports
-the modules it runs when it runs, so a process loads only what its
-command needs: `dk-table` reads no search or construction code.  Search
-options left unset are left out of the call, so the library's defaults
-apply.
+GRAMMAR is the one table of commands.  A well-formed command line is read
+from it straight; argparse, loaded only for --help and usage errors, builds
+its parser from it and prints those (no -h, no abbreviations).  Commands
+import what they run when they run: `dk-table` reads no search code.
+Search options left unset are left out, so the library's defaults apply.
 """
 
-import argparse
 import functools
 import sys
 
@@ -35,6 +34,8 @@ def _int_list(value):
     try:
         return tuple(int(x) for x in value.split(","))
     except ValueError:
+        import argparse  # a usage error, which argparse reports
+
         raise argparse.ArgumentTypeError(
             "expected comma-separated integers"
         ) from None
@@ -47,28 +48,17 @@ def _realizer(spec):
     return Realizer(_int_list(one), _int_list(two))
 
 
-def _emit_poset(p, dot):
-    from . import io
+def construct_poset(dot, j=None, b=None, n=None, c=None, a=None):
+    """Emit the poset that `construct pj`, `delta` or `nca` builds."""
+    from . import construct, io
 
+    if j is not None:
+        p = construct.build_pj(j)[0]
+    elif b is not None:
+        p = construct.from_delta(b)
+    else:
+        p = construct.realize_nca(n, c, a)
     sys.stdout.write(io.export_dot(p) if dot else io.dumps(p))
-
-
-def construct_pj(j, dot):
-    from .construct import build_pj
-
-    _emit_poset(build_pj(j)[0], dot)
-
-
-def construct_delta(b, dot):
-    from .construct import from_delta
-
-    _emit_poset(from_delta(b), dot)
-
-
-def construct_nca(n, c, a, dot):
-    from .construct import realize_nca
-
-    _emit_poset(realize_nca(n, c, a), dot)
 
 
 def _dk_table_lines(p, csv):
@@ -195,124 +185,128 @@ def feasible(n, c, a, dual_side):
         sys.exit(1)
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argparse parser that takes only the options it lists: --help
-    but no -h, and no abbreviations of long options."""
+SUPPRESS = "==SUPPRESS=="  # argparse.SUPPRESS: left out unless given
+# A flag, and a required integer option.
+_FLAG, _INT = {"action": "store_true"}, {"type": int, "required": True}
+_INPUT = ("input", {"nargs": "?", "default": "-"})
+_HELP = ("--help", {"action": "help", "help": "Show this message and exit."})
+_LIMITS = (
+    ("--limit-n", {"type": int, "default": SUPPRESS}),
+    ("--budget-seconds", {"dest": "budget_s", "metavar": "SECONDS",
+                          "type": float, "default": SUPPRESS}),
+)
+_FEASIBLE = "Existence of a polyunsaturated poset with the given parameters."
 
-    def __init__(self, **kwargs):
-        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
-        self.add_argument(
-            "--help", action="help", help="Show this message and exit."
-        )
+# The grammar of every command.  A group lists its commands under a
+# title; a command names its run function and its arguments, each with
+# argparse's add_argument keywords, in the order its help page lists them.
+GRAMMAR = dict(title="commands", commands={
+    "construct": dict(title="posets", commands={
+        "pj": dict(run=construct_poset, args=(
+            ("--j", dict(_INT, help="Tower index j >= 1.")),
+            ("--dot", dict(_FLAG, help="Emit DOT instead of JSON.")),
+        )),
+        "delta": dict(run=construct_poset, args=(
+            ("--b", dict(_INT, type=_int_list,
+                         help="Comma-separated sequence.")),
+            ("--dot", _FLAG),
+        )),
+        "nca": dict(run=construct_poset, args=(
+            ("--n", _INT), ("--c", _INT), ("--a", _INT), ("--dot", _FLAG),
+        )),
+    }, help="Build named posets and emit them as JSON (or DOT)."),
+    "dk-table": dict(run=dk_table, args=(_INPUT, ("--csv", _FLAG))),
+    "certify": dict(run=certify, args=(_INPUT, *_LIMITS)),
+    "saturate": dict(run=saturate, args=(_INPUT, ("--ks", dict(
+        _INT, type=_int_list, help="Comma-separated k values."
+    )), *_LIMITS)),
+    "dual": dict(run=dual, args=(
+        _INPUT,
+        ("--realizer", {"type": _realizer, "help": "Two comma-separated"
+                        " permutations joined by '/'; defaults to the"
+                        " construction-carried realizer."}),
+        ("--table", dict(_FLAG, help="dk-table of the conjugate.")),
+        ("--csv", _FLAG), *_LIMITS,
+    )),
+    "enumerate": dict(run=enumerate_cmd, args=(("--n", _INT),)),
+    "feasible": dict(run=feasible, help=_FEASIBLE, args=(
+        ("--n", {"type": int}), ("--c", {"type": int}), ("--a", {"type": int}),
+        ("--dual", dict(_FLAG, dest="dual_side")),
+    ), description=_FEASIBLE + "  Give any two of --n/--c/--a, or all"
+        " three.  With --dual, interprets the parameters on the coloring"
+        " (independence-number) side."),
+}, description="Exact computations on finite posets: maximum k-families,"
+    " saturated chain partitions, and polyunsaturated constructions.")
 
 
-def _commands(parent, title):
-    # A metavar names the required subcommand in the error for a missing
-    # one; without it (or a dest) argparse 3.10 raises TypeError there.
-    return parent.add_subparsers(
-        title=title, metavar="COMMAND", required=True
-    )
-
-
-def _command(commands, name, run, summary=None, description=None):
-    cmd = commands.add_parser(
-        name, help=summary, description=description or summary
-    )
-    cmd.set_defaults(run=run)
-    return cmd
-
-
-def _search_limits(cmd):
-    cmd.add_argument("--limit-n", type=int, default=argparse.SUPPRESS)
-    cmd.add_argument(
-        "--budget-seconds",
-        dest="budget_s",
-        metavar="SECONDS",
-        type=float,
-        default=argparse.SUPPRESS,
-    )
+def _scan(argv):
+    """vars(parse_args(argv)) read from GRAMMAR, if argv is the command, one
+    input at most, flags and `--option value` (value not `-...`); or None."""
+    spec = GRAMMAR
+    while "commands" in spec:
+        if not argv or argv[0] not in spec["commands"]:
+            return None
+        spec, argv = spec["commands"][argv[0]], argv[1:]
+    ns, options, inputs = {"run": spec["run"]}, {}, []
+    for name, kw in spec["args"]:
+        dest = kw.get("dest", name.lstrip("-").replace("-", "_"))
+        options[name] = dest, kw
+        if kw.get("default") != SUPPRESS:
+            ns[dest] = kw.get("default", False if "action" in kw else None)
+    required = {name for name, kw in spec["args"] if kw.get("required")}
+    args = iter(argv)
+    for arg in args:
+        if arg.startswith("--") and arg in options:
+            dest, kw = options[arg]
+            required.discard(arg)
+            if "action" in kw:
+                ns[dest] = True
+                continue
+            value = next(args, "-")  # a missing value reads as an option
+            if value.startswith("-"):
+                return None
+            try:
+                ns[dest] = kw["type"](value)
+            except Exception:  # argparse converts it again and says why
+                return None
+        elif arg == "-" or not arg.startswith("-"):
+            inputs.append(arg)
+        else:
+            return None
+    if required or len(inputs) > ("input" in ns):
+        return None
+    ns.update(zip(["input"], inputs))
+    return ns
 
 
 @functools.lru_cache(maxsize=None)
 def _parser(prog):
-    """The parser of every command.  Parsing leaves it unchanged, so it is
-    built once per program name, as in-process callers run many commands."""
-    top = _Parser(
-        prog=prog,
-        description="Exact computations on finite posets: maximum"
-        " k-families, saturated chain partitions, and polyunsaturated"
-        " constructions.",
-    )
-    commands = _commands(top, "commands")
+    """GRAMMAR as argparse's parser, built once: parsing leaves it as is."""
+    import argparse
 
-    summary = "Build named posets and emit them as JSON (or DOT)."
-    construct = commands.add_parser(
-        "construct", help=summary, description=summary
-    )
-    kinds = _commands(construct, "posets")
-    cmd = _command(kinds, "pj", construct_pj)
-    cmd.add_argument(
-        "--j", type=int, required=True, help="Tower index j >= 1."
-    )
-    cmd.add_argument(
-        "--dot", action="store_true", help="Emit DOT instead of JSON."
-    )
-    cmd = _command(kinds, "delta", construct_delta)
-    cmd.add_argument(
-        "--b", type=_int_list, required=True, help="Comma-separated sequence."
-    )
-    cmd.add_argument("--dot", action="store_true")
-    cmd = _command(kinds, "nca", construct_nca)
-    for name in ("--n", "--c", "--a"):
-        cmd.add_argument(name, type=int, required=True)
-    cmd.add_argument("--dot", action="store_true")
+    def build(make, spec):
+        parser = make(
+            description=spec.get("description") or spec.get("help"),
+            add_help=False, allow_abbrev=False,
+        )
+        for name, kw in (_HELP, *spec.get("args", ())):
+            if kw.get("default") == SUPPRESS:  # argparse tests it by `is`
+                kw = dict(kw, default=argparse.SUPPRESS)
+            parser.add_argument(name, **kw)
+        if "run" in spec:
+            parser.set_defaults(run=spec["run"])
+            return parser
+        # A missing command's error names its metavar; without one (or a
+        # dest) argparse 3.10 raises TypeError there.
+        commands = parser.add_subparsers(
+            title=spec["title"], metavar="COMMAND", required=True
+        )
+        add = commands.add_parser
+        for name, cmd in spec["commands"].items():
+            build(functools.partial(add, name, help=cmd.get("help")), cmd)
+        return parser
 
-    cmd = _command(commands, "dk-table", dk_table)
-    cmd.add_argument("input", nargs="?", default="-")
-    cmd.add_argument("--csv", action="store_true")
-
-    cmd = _command(commands, "certify", certify)
-    cmd.add_argument("input", nargs="?", default="-")
-    _search_limits(cmd)
-
-    cmd = _command(commands, "saturate", saturate)
-    cmd.add_argument("input", nargs="?", default="-")
-    cmd.add_argument(
-        "--ks", type=_int_list, required=True, help="Comma-separated k values."
-    )
-    _search_limits(cmd)
-
-    cmd = _command(commands, "dual", dual)
-    cmd.add_argument("input", nargs="?", default="-")
-    cmd.add_argument(
-        "--realizer",
-        type=_realizer,
-        help="Two comma-separated permutations joined by '/'; defaults to the"
-        " construction-carried realizer.",
-    )
-    cmd.add_argument(
-        "--table", action="store_true", help="dk-table of the conjugate."
-    )
-    cmd.add_argument("--csv", action="store_true")
-    _search_limits(cmd)
-
-    cmd = _command(commands, "enumerate", enumerate_cmd)
-    cmd.add_argument("--n", type=int, required=True)
-
-    cmd = _command(
-        commands,
-        "feasible",
-        feasible,
-        "Existence of a polyunsaturated poset with the given parameters.",
-        "Existence of a polyunsaturated poset with the given parameters."
-        "  Give any two of --n/--c/--a, or all three.  With --dual,"
-        " interprets the parameters on the coloring (independence-number)"
-        " side.",
-    )
-    for name in ("--n", "--c", "--a"):
-        cmd.add_argument(name, type=int)
-    cmd.add_argument("--dual", dest="dual_side", action="store_true")
-    return top
+    return build(functools.partial(argparse.ArgumentParser, prog), GRAMMAR)
 
 
 class _Main:
@@ -329,7 +323,9 @@ class _Main:
     def main(self, args=None, prog_name=None, standalone_mode=True):
         # standalone_mode is accepted for callers written against click and
         # changes nothing: in both modes, errors exit through SystemExit.
-        ns = vars(_parser(prog_name or self.name).parse_args(args))
+        ns = _scan(sys.argv[1:] if args is None else args) or vars(
+            _parser(prog_name or self.name).parse_args(args)
+        )
         run = ns.pop("run")
         try:
             try:

@@ -213,13 +213,17 @@ def _check_kfamily(p, k, family, size):
 class _NormSearch:
     """One search over the chain partitions of p, all on one walk.
 
-    Making it refuses p above limit_n and a NaN or negative budget_s, and
-    starts the clock: all it searches must end within budget_s seconds,
-    or may run unbounded if budget_s is None.  It keeps A_k per k, and
-    states counts the masks it expands.
+    Making it refuses a limit_n below 1, p above limit_n, and a NaN or
+    negative budget_s, and starts the clock: all it searches must end
+    within budget_s seconds, or may run unbounded if budget_s is None.
+    It keeps A_k per k, and states counts the masks it expands.
     """
 
     def __init__(self, p, limit_n, budget_s):
+        if limit_n < 1:
+            raise BadParameters(
+                f"limit must be a positive integer, not {limit_n}"
+            )
         if p.n > limit_n:
             raise SizeLimitExceeded(
                 f"n={p.n} exceeds the search limit {limit_n}; raise --limit-n"

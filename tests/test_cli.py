@@ -1,9 +1,12 @@
 """CLI surface and the JSON/DOT interchange formats."""
 
+import contextlib
 import hashlib
 import itertools
 import json
+import sys
 import time
+from io import StringIO
 
 import pytest
 from click.testing import CliRunner
@@ -14,6 +17,7 @@ from polysat import (
     antichain_poset,
     build_pj,
     chain_poset,
+    cli,
     disjoint_union,
     from_delta,
     io,
@@ -324,6 +328,17 @@ def test_certify_respects_limit(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("limit", ["-5", "0"])
+def test_limit_must_be_a_positive_integer(runner, limit):
+    p3 = dumps(build_pj(3)[0])
+    for command in (["certify", "-"], ["saturate", "-", "--ks", "1,3"]):
+        result = invoke(runner, [*command, "--limit-n", limit], stdin=p3)
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr == (
+            f"error: limit must be a positive integer, not {limit}\n"
+        )
+
+
 @pytest.mark.parametrize("j, n", [(6, 28), (7, 36), (8, 45)])
 def test_certify_towers_past_n_24(runner, j, n):
     # Every pair of a tower is refuted, one above d_k + d_l.
@@ -491,3 +506,176 @@ def test_feasible_exit_codes(runner):
         ["feasible", "--n", "10", "--a", "5", "--c", "3", "--dual"],
     )
     assert result.exit_code == 0
+
+
+def _commands(spec=cli.GRAMMAR, path=()):
+    """Each command path of the grammar, with its table entry."""
+    for name, sub in spec["commands"].items():
+        if "commands" in sub:
+            yield from _commands(sub, (*path, name))
+        else:
+            yield (*path, name), sub
+
+
+COMMANDS = dict(_commands())
+OPTIONS = sorted(
+    {name for spec in COMMANDS.values() for name, _ in spec["args"]} - {"input"}
+)
+VALUES = ["0", "3", "24", "-5", "1,2", "-1,2", "3,x", "x", "-", "-x", "nan",
+          "inf", "-inf", "", "1.5", "0,1,2/0,1,2", "1,0/0,1", "dk-table"]
+# Tokens only argparse may read: help, the end of options, options of
+# other commands, --opt=value, abbreviations and single-dash options.
+ODD = sorted(
+    {"--help", "-h", "--", "-5", "--n=3", "--csv=1", "frobnicate"}
+    | set(OPTIONS)
+    | {name[:-1] for name in OPTIONS if len(name) > 3}
+)
+
+
+def parsed(argv):
+    """vars(parse_args(argv)), quietly, or None where argparse exits."""
+    quiet = StringIO()
+    with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+        try:
+            return vars(cli._parser("polysat").parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def same(scanned, namespace):
+    # NaN is a value --budget-seconds takes, and differs from itself.
+    return scanned.keys() == namespace.keys() and all(
+        a == b or a != a and b != b
+        for a, b in zip(scanned.values(), map(namespace.get, scanned))
+    )
+
+
+@st.composite
+def argvs(draw):
+    """Command lines of the grammar's words: mostly one command with its
+    own options and values, some cut short or with odd tokens."""
+    path, spec = draw(st.sampled_from(sorted(COMMANDS.items())))
+    own = st.sampled_from([n for n, _ in spec["args"] if n != "input"])
+    value = st.sampled_from(VALUES) | st.integers(-2, 40).map(str)
+    token = own | value | st.sampled_from(ODD)
+    chunks = draw(st.lists(st.tuples(own, value) | st.tuples(token), max_size=6))
+    argv = [*path, *itertools.chain.from_iterable(chunks)]
+    if draw(st.integers(0, 5)) == 0:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+@settings(deadline=None, max_examples=500)
+@given(argvs())
+@example(["certify", "-", "--budget-seconds", "nan"])
+@example(["dual", "in.json", "--realizer", "0,1,2/0,1,2", "--csv", "--csv"])
+@example(["feasible", "--n", "3", "--n", "4", "--dual"])
+@example(["construct", "pj", "--j", "3", "extra"])
+@example(["dk-table", "-", "dk-table"])
+def test_scan_reads_what_argparse_reads(argv):
+    scanned = cli._scan(argv)
+    if scanned is not None:
+        namespace = parsed(argv)
+        assert namespace is not None and same(scanned, namespace)
+
+
+# Command lines as the README, CI and the benchmark's workloads write
+# them; each must take the scan, not argparse.
+WELL_FORMED = [
+    "construct pj --j 2",
+    "construct pj --j 61 --dot",
+    "construct delta --b 3,3,2,1 --dot",
+    "construct nca --n 2000 --c 10 --a 250",
+    "construct nca --n 10 --c 5 --a 3 --dot",
+    "dk-table - --csv",
+    "dk-table p5.json",
+    "certify -",
+    "certify - --limit-n 24",
+    "certify p5.json --limit-n 24",
+    "saturate - --ks 1,2",
+    "saturate p5.json --ks 1,2 --limit-n 24",
+    "dual - --table",
+    "dual - --table --csv",
+    "dual p5.json --table",
+    "dual - --limit-n 24 --budget-seconds 10",
+    "enumerate --n 4",
+    "feasible --n 7 --c 4 --a 2",
+    "feasible --n 10 --a 5 --c 3 --dual",
+]
+
+
+@pytest.mark.parametrize("line", WELL_FORMED)
+def test_well_formed_commands_take_the_scan(line):
+    scanned = cli._scan(line.split())
+    assert scanned is not None and same(scanned, parsed(line.split()))
+
+
+# sha256 of each --help page, and each usage error's stderr, as the
+# hand-built argparse parser printed them at 80 columns; the parser built
+# from GRAMMAR must print the same bytes.
+HELP_SHA256 = {
+    "": "af2596a0339af48d72aedf8d48bbb1b46dc77f1fa848fbd91f2f5bf507dc8de1",
+    "construct": "bbf4d9f384cbf18f9fb468e2e6239d6de826d858f7c9c3acc8c645183b8afa06",
+    "dk-table": "53c60d940833564c120f759ecd87bdfed1d1f555d5e8068f267d6d5be14da6be",
+    "certify": "1ec6bd7873e579b6072e089553ac6a6c81f4f2ff9f353ae8b5fcfa906305f123",
+    "saturate": "e385b1d84fb8d5838a21ff3579cd90d18ac383e7b538620bc3cb32d42990639d",
+    "dual": "53c2ca73117077d8c77f1291cf5b0f61284fcaf4c5b7bf64eca6b4f59579606b",
+    "enumerate": "71be66826710fa0befbd7d6672603bbd08d7ef8f4079910450c88042bf960854",
+    "feasible": "b874ac70bf161d87b8a7de97be051eb5d7ea0f994d3fe9f158db62f87fc96187",
+    "construct pj": "bc225ed25ea7466e68f916435647b531e149041a0821a2ff2a074f5c74e77c49",
+    "construct delta": "83cd0d715f5420f9189582818c0cc1f325f2891eb0f1a2829651b6bd05ddd421",
+    "construct nca": "62dacd3288eb402a010f9de26662c902c74637b12bcc081ee2198779d1ead0a5",
+}
+TOP = "usage: polysat [--help] COMMAND ...\npolysat: error: "
+USAGE_ERRORS = {
+    "": TOP + "the following arguments are required: COMMAND\n",
+    "-h": TOP + "the following arguments are required: COMMAND\n",
+    "frobnicate": TOP + "argument COMMAND: invalid choice: 'frobnicate'"
+    " (choose from 'construct', 'dk-table', 'certify', 'saturate', 'dual',"
+    " 'enumerate', 'feasible')\n",
+    "dk-table --cs": TOP + "unrecognized arguments: --cs\n",
+    "certify -h": TOP + "unrecognized arguments: -h\n",
+    "construct": "usage: polysat construct [--help] COMMAND ...\n"
+    "polysat construct: error: the following arguments are required:"
+    " COMMAND\n",
+    "construct pj": "usage: polysat construct pj [--help] --j J [--dot]\n"
+    "polysat construct pj: error: the following arguments are required:"
+    " --j\n",
+    "construct delta --b 3,x": "usage: polysat construct delta [--help]"
+    " --b B [--dot]\npolysat construct delta: error: argument --b:"
+    " expected comma-separated integers\n",
+    "dual --realizer x": "usage: polysat dual [--help] [--realizer REALIZER]"
+    " [--table] [--csv]\n                    [--limit-n LIMIT_N]"
+    " [--budget-seconds SECONDS]\n                    [input]\n"
+    "polysat dual: error: argument --realizer: expected comma-separated"
+    " integers\n",
+    "dk-table --csv=1": "usage: polysat dk-table [--help] [--csv] [input]\n"
+    "polysat dk-table: error: argument --csv: ignored explicit argument"
+    " '1'\n",
+    "certify --limit-n": "usage: polysat certify [--help] [--limit-n LIMIT_N]"
+    " [--budget-seconds SECONDS]\n                       [input]\n"
+    "polysat certify: error: argument --limit-n: expected one argument\n",
+    "enumerate --n x": "usage: polysat enumerate [--help] --n N\n"
+    "polysat enumerate: error: argument --n: invalid int value: 'x'\n",
+}
+argparse_wording = pytest.mark.skipif(
+    sys.version_info >= (3, 12), reason="pinned as argparse 3.10-3.11 words it"
+)
+
+
+@argparse_wording
+@pytest.mark.parametrize("line", sorted(HELP_SHA256))
+def test_help_pages_are_pinned(runner, line):
+    args = [*line.split(), "--help"]
+    result = runner.invoke(main, args, env={"COLUMNS": "80"})
+    assert result.exit_code == 0 and result.stderr == ""
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert digest == HELP_SHA256[line]
+
+
+@argparse_wording
+@pytest.mark.parametrize("line", sorted(USAGE_ERRORS))
+def test_usage_errors_are_pinned(runner, line):
+    result = runner.invoke(main, line.split(), env={"COLUMNS": "80"})
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr == USAGE_ERRORS[line]
