@@ -14,7 +14,7 @@ from itertools import accumulate, chain
 from .errors import BadK, BadParameters, EmptyPoset, Infeasible, InvalidDelta
 from .io import check_size
 from .kfamily import DeltaSequence
-from .poset import Poset, Realizer, Value, _set, cover_relations, height
+from .poset import Poset, Realizer, Value, cover_relations, height
 
 
 class PjLabels(Value):
@@ -26,13 +26,6 @@ class PjLabels(Value):
 
     __slots__ = ("u", "s", "r", "T", "Q")
 
-    def __init__(self, u, s, r, T, Q):
-        _set(self, "u", u)
-        _set(self, "s", s)
-        _set(self, "r", r)
-        _set(self, "T", T)
-        _set(self, "Q", Q)
-
 
 class FeasibilityVerdict(Value):
     """Whether (n, c, a) is feasible, and the conditions that failed."""
@@ -42,8 +35,7 @@ class FeasibilityVerdict(Value):
     def __init__(self, feasible, failed_conditions):
         if feasible != (not failed_conditions):
             raise ValueError("feasible iff no condition failed")
-        _set(self, "feasible", feasible)
-        _set(self, "failed_conditions", failed_conditions)
+        super().__init__(feasible, failed_conditions)
 
 
 def _union(parts):

@@ -10,7 +10,7 @@ run, polynomial in n.
 import heapq
 
 from .errors import BadK, InvalidDelta, NotRanked
-from .poset import Value, _set, bits, chain_lengths
+from .poset import Value, bits, chain_lengths
 
 
 class DSequence(Value):
@@ -24,7 +24,7 @@ class DSequence(Value):
         deltas = [b - a for a, b in zip((0,) + d, d)]
         if any(a < b for a, b in zip(deltas, deltas[1:])):
             raise ValueError("d sequence must be concave")
-        _set(self, "d", d)
+        super().__init__(d)
 
     def at(self, k):
         """d_k for any k >= 1; d_k = d_c = n for k at or above the height."""
@@ -48,7 +48,7 @@ class DeltaSequence(Value):
             raise InvalidDelta("entries must be positive")
         if any(x > y for x, y in zip(b[1:], b[:-1])):
             raise InvalidDelta("sequence must be nonincreasing")
-        _set(self, "b", b)
+        super().__init__(b)
 
     @property
     def c(self):

@@ -27,22 +27,29 @@ def bits(mask):
         mask ^= low
 
 
-# Value refuses every assignment, so its subclasses' __init__s fill their
-# slots through object's.
+# Value refuses every assignment, so its __init__ fills slots through this.
 _set = object.__setattr__
 
 
 class Value:
     """Base of the immutable value classes.
 
-    A subclass names its fields in __slots__, in the order of its
-    __init__'s parameters, and sets each one there through _set.
-    Instances are equal when they have the same type and equal fields,
-    hash like the tuple of their fields, and copy and pickle by calling
-    the class on them.
+    A subclass names its fields in __slots__; __init__ takes them in that
+    order or by name, each once, and fills every value type, Poset
+    included.  Instances are equal when they have the same type and equal
+    fields, hash like the tuple of their fields, and copy and pickle by
+    calling the class on them.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names) or kwargs.keys() != set(names[len(args):]):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+        kwargs.update(zip(names, args))
+        for name in names:
+            _set(self, name, kwargs[name])
 
     def _fields(self):
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -76,12 +83,8 @@ class Realizer(Value):
 
     __slots__ = ("ext1", "ext2")
 
-    def __init__(self, ext1, ext2):
-        _set(self, "ext1", ext1)
-        _set(self, "ext2", ext2)
 
-
-class Poset:
+class Poset(Value):
     """An immutable strict order on 0..n-1.
 
     up[x] is the bitmask of elements strictly above x, down[x] of those
@@ -130,16 +133,9 @@ class Poset:
         for x in range(n):
             for y in covers[x]:
                 down[y] |= down[x] | 1 << x
-        _set(self, "n", n)
-        _set(self, "up", up)
-        _set(self, "down", tuple(down))
-        _set(self, "covers", tuple(map(tuple, covers)))
-        _set(self, "names", tuple(names) if names is not None else None)
-        _set(self, "realizer", realizer)
-        _set(self, "derived", {})
-
-    __setattr__ = Value.__setattr__
-    __delattr__ = Value.__delattr__
+        names = None if names is None else tuple(names)
+        covers = tuple(map(tuple, covers))
+        super().__init__(n, up, tuple(down), covers, names, realizer, {})
 
     def __reduce__(self):
         return type(self), (self.n, self.up, self.names, self.realizer)
@@ -240,20 +236,24 @@ def width(p):
     """Maximum antichain size, via Dilworth and Konig.
 
     Minimum chain partition of the order DAG is n minus a maximum matching
-    in the split bipartite graph over the full (closed) relation.
+    over the closed relation, grown along augmenting paths on a stack.
     """
-    match_to = [-1] * p.n
-
-    def augment(x, visited):
-        free = p.up[x] & ~visited[0]
-        visited[0] |= free
-        for y in bits(free):
-            if match_to[y] == -1 or augment(match_to[y], visited):
-                match_to[y] = x
-                return True
-        return False
-
-    return p.n - sum(augment(x, [0]) for x in range(p.n))
+    match_to, size = [-1] * p.n, p.n
+    for root in range(p.n):
+        stack, visited = [(root, bits(p.up[root]), -1)], p.up[root]
+        while stack:
+            if (y := next(stack[-1][1], None)) is None:
+                stack.pop()
+            elif match_to[y] == -1:
+                for x, _, via in reversed(stack):
+                    match_to[y], y = x, via
+                size -= 1
+                break
+            else:
+                x = match_to[y]
+                stack.append((x, bits(p.up[x] & ~visited), y))
+                visited |= p.up[x]
+    return size
 
 
 def enumerate_posets(n):

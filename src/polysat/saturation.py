@@ -46,7 +46,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .kfamily import _residual, d_sequence, dk
-from .poset import Value, _set, bits
+from .poset import Value, bits
 
 DEFAULT_LIMIT_N = 16
 # Seconds a search may take when the caller names no budget; budget_s=None
@@ -62,7 +62,7 @@ class Chain(Value):
     def __init__(self, elems):
         if any(a >= b for a, b in zip(elems, elems[1:])):
             raise ValueError("chain indices must strictly increase")
-        _set(self, "elems", elems)
+        super().__init__(elems)
 
     def __len__(self):
         return len(self.elems)
@@ -95,8 +95,7 @@ class ChainPartition(Value):
             seen |= m
         if seen != (1 << poset.n) - 1:
             raise PartitionMismatch("blocks do not cover the ground set")
-        _set(self, "poset", poset)
-        _set(self, "chains", chains)
+        super().__init__(poset, chains)
 
     def __len__(self):
         return len(self.chains)
@@ -107,17 +106,11 @@ class Witness(Value):
 
     __slots__ = ("partition",)
 
-    def __init__(self, partition):
-        _set(self, "partition", partition)
-
 
 class NoJointPartition(Value):
     """A pair's verdict when none exists: the least m_k + m_l there is."""
 
     __slots__ = ("min_joint_norm",)
-
-    def __init__(self, min_joint_norm):
-        _set(self, "min_joint_norm", min_joint_norm)
 
 
 class PolyunsatReport(Value):
@@ -126,11 +119,7 @@ class PolyunsatReport(Value):
     __slots__ = ("d", "pair_verdicts", "conclusion")
 
     def __init__(self, d, pair_verdicts=None, conclusion=True):
-        if pair_verdicts is None:
-            pair_verdicts = {}
-        _set(self, "d", d)
-        _set(self, "pair_verdicts", pair_verdicts)
-        _set(self, "conclusion", conclusion)
+        super().__init__(d, pair_verdicts or {}, conclusion)
 
     @property
     def c(self):
@@ -253,16 +242,22 @@ class _NormSearch:
                 f" {self.states} states"
             )
 
-    def chains(self, mask):
-        """(size, remaining mask) for every chain through the lowest element
-        of mask, in preorder with smaller successors first, made one at a
-        time, as the walk asks for them."""
+    def tries(self, mask, budget, meets):
+        """(rest, slack left) for each chain through the lowest element of
+        mask that misses meets by at most budget, in preorder with smaller
+        successors first, made one at a time, as the walk asks for them."""
         up = self.p.up
         i = (mask & -mask).bit_length() - 1
         stack = [(i, mask & ~(1 << i), 1)]
         while stack:
             top, rest, size = stack.pop()
-            yield size, rest
+            left = budget
+            for need, family in meets:
+                left -= need[size] - (mask & ~rest & family).bit_count()
+                if left < 0:
+                    break
+            else:
+                yield rest, left
             succ = up[top] & rest
             while succ:
                 j = succ.bit_length() - 1
@@ -275,34 +270,32 @@ class _NormSearch:
         |C & A_k| for each, or None."""
         # memos[b] maps a mask to what is left of it after the first chain
         # of its first cover within slack b, with the slack left for that
-        # rest, or to None if it has no such cover.
+        # rest, or to None if it has no such cover.  frames, not recursion,
+        # holds the masks being expanded, each with its untried chains.
         memos = [{0: 0} for _ in range(slack + 1)]
         meets = [
             ([min(k, s) for s in range(self.p.n + 1)], self.family(k))
             for k in ks
         ]
-
-        def first(mask, budget):
-            memo = memos[budget]
-            if mask in memo:
-                return memo[mask]
-            self.visit(phase)
-            found = None
-            for size, rest in self.chains(mask):
-                chain = mask & ~rest
-                left = budget
-                for need, family in meets:
-                    left -= need[size] - (chain & family).bit_count()
-                    if left < 0:
-                        break
-                else:
-                    if first(rest, left) is not None:
-                        found = rest, left
-                        break
-            memo[mask] = found
-            return found
-
-        if first(self.full, slack) is None:
+        frames, mask, budget = [], self.full, slack
+        while True:
+            if mask in memos[budget]:
+                found = memos[budget][mask]
+            else:
+                self.visit(phase)
+                frames.append((mask, budget, self.tries(mask, budget, meets)))
+                found = None
+            while frames:
+                if found is not None:
+                    found = mask, budget
+                elif child := next(frames[-1][2], None):
+                    mask, budget = child
+                    break
+                mask, budget, _ = frames.pop()
+                memos[budget][mask] = found
+            else:
+                break
+        if found is None:
             return None
         chains, mask, left = [], self.full, slack
         while mask:

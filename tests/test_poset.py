@@ -13,6 +13,7 @@ from polysat import (
     cover_relations,
     delta_sequence,
     disjoint_union,
+    dk,
     enumerate_posets,
     from_covers,
     height,
@@ -29,8 +30,14 @@ from polysat.errors import (
 from polysat.canonical import least_labelling
 from polysat.poset import Poset, Realizer, bits
 from polysat.kfamily import DeltaSequence, DSequence
-from polysat.construct import PjLabels
-from polysat.saturation import Chain, PolyunsatReport
+from polysat.construct import FeasibilityVerdict, PjLabels
+from polysat.saturation import (
+    Chain,
+    ChainPartition,
+    NoJointPartition,
+    PolyunsatReport,
+    Witness,
+)
 from oracles import isomorphic, least_labelling_bruteforce, width_bruteforce
 from util import random_poset, seeded
 
@@ -116,6 +123,7 @@ def test_poset_is_immutable():
 
 
 def test_values_are_immutable_and_compare_by_type_and_fields():
+    partition = ChainPartition(chain_poset(2), (Chain((0, 1)),))
     values = [
         Chain((0, 2)),
         Realizer((0, 1), (1, 0)),
@@ -123,6 +131,10 @@ def test_values_are_immutable_and_compare_by_type_and_fields():
         DeltaSequence((2, 1)),
         PolyunsatReport(d=(2, 3), conclusion=False),
         PjLabels(u=0, s=(1,), r=(2,), T=(frozenset({0}),), Q=()),
+        partition,
+        Witness(partition),
+        NoJointPartition(5),
+        FeasibilityVerdict(False, ("c",)),
         chain_poset(3, names=["a", "b", "c"]),
     ]
     for v in values:
@@ -130,10 +142,28 @@ def test_values_are_immutable_and_compare_by_type_and_fields():
             assert copied == v and type(copied) is type(v)
             if not isinstance(v, PolyunsatReport):
                 assert hash(copied) == hash(v)
-        with pytest.raises(AttributeError):
-            setattr(v, v.__slots__[0], None)
-        with pytest.raises(AttributeError):
-            delattr(v, v.__slots__[0])
+        immutable = f"a {type(v).__name__} is immutable"
+        for name in (v.__slots__[0], v.__slots__[-1], "other"):
+            with pytest.raises(AttributeError, match=immutable):
+                setattr(v, name, None)
+            with pytest.raises(AttributeError, match=immutable):
+                delattr(v, name)
+    # Value.__init__ fills every value type from its fields, given in
+    # __slots__ order or by name; a Poset's own __init__ derives the rest.
+    for v in values[:-1]:
+        fields = dict(zip(v.__slots__, v._fields()))
+        assert type(v)(*fields.values()) == type(v)(**fields) == v
+    for args, kwargs in (
+        ((0,), {}),
+        ((), {"ext2": 1}),
+        ((0,), {"ext1": 0}),
+        ((0,), {"ext1": 0, "ext2": 1}),
+        ((0, 1, 2), {}),
+        ((0, 1), {"ext3": 2}),
+        ((0,), {"ext3": 1}),
+    ):
+        with pytest.raises(TypeError, match="Realizer takes the fields"):
+            Realizer(*args, **kwargs)
     # A Poset compares by its order only, so its names and realizer are
     # checked apart.
     named = values[-1]
@@ -181,6 +211,13 @@ def test_width_examples():
     assert width(chain_poset(3)) == 1
     assert width(antichain_poset(5)) == 5
     assert width(build_pj(4)[0]) == 4
+    # The zigzag a_i < b_{i-1}, b_i: the path that matches a_i runs back
+    # through every a_j below it, 999 steps deep at the last one.
+    m = 1000
+    covers = [(i, m + i) for i in range(m)]
+    covers += [(i, m + i - 1) for i in range(1, m)]
+    zigzag, _ = from_covers(2 * m, covers)
+    assert width(zigzag) == dk(zigzag, 1) == m
 
 
 def test_width_matches_bruteforce():

@@ -1,6 +1,7 @@
 """k-norms, saturated partitions, and polyunsaturation verdicts."""
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -329,6 +330,19 @@ def test_find_saturated_stays_within_its_state_count(searches):
     q = conjugate(from_delta((6, 5, 4, 1, 1)))
     assert find_saturated(q, (1, 5), limit_n=24) is not None
     assert sum(search.states for search in searches) < 2000
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # A cover by 300 singletons is 300 masks deep, and the walk keeps them
+    # on a list, not on the call stack.
+    p = antichain_poset(300)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        partition = find_saturated(p, [1], limit_n=300)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert partition == singletons(p)
 
 
 def test_budget_must_be_a_nonnegative_number():
