@@ -20,6 +20,7 @@ _ORIGIN = {
             "ck_partition",
             "disjoint_union",
             "feasible_ca",
+            "feasible_dual_nac",
             "feasible_nc",
             "feasible_nca",
             "from_delta",
@@ -29,7 +30,7 @@ _ORIGIN = {
             "sequence_for",
             "upper_bounds",
         ),
-        "graphdual": ("conjugate", "feasible_dual_nac", "verify_realizer"),
+        "graphdual": ("conjugate", "verify_realizer"),
         "kfamily": (
             "DeltaSequence",
             "DSequence",

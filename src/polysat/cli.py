@@ -6,8 +6,8 @@ limit errors.  JSON is the single interchange format; DOT is export-only.
 GRAMMAR is the one table of commands.  A well-formed command line is read
 from it straight; argparse, loaded only for --help and usage errors, builds
 its parser from it and prints those (no -h, no abbreviations).  Commands
-import what they run when they run: `dk-table` reads no search code.
-Search options left unset are left out, so the library's defaults apply.
+import what they run when they run: `dk-table` and `dual --table` read no
+search code.  Search options left unset are left out, so the defaults apply.
 """
 
 import functools
@@ -16,7 +16,7 @@ import sys
 from .errors import BadParameters, PolysatError
 
 
-def _read_poset(source, realizer=None):
+def _read_poset(source):
     from . import io
 
     try:
@@ -27,7 +27,7 @@ def _read_poset(source, realizer=None):
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise PolysatError(f"cannot read {source}: {exc}") from None
-    return io.loads(text, realizer)
+    return io.loads(text)
 
 
 def _int_list(value):
@@ -39,13 +39,6 @@ def _int_list(value):
         raise argparse.ArgumentTypeError(
             "expected comma-separated integers"
         ) from None
-
-
-def _realizer(spec):
-    from .poset import Realizer
-
-    one, _, two = spec.partition("/")
-    return Realizer(_int_list(one), _int_list(two))
 
 
 def construct_poset(dot, j=None, b=None, n=None, c=None, a=None):
@@ -61,10 +54,7 @@ def construct_poset(dot, j=None, b=None, n=None, c=None, a=None):
     sys.stdout.write(io.export_dot(p) if dot else io.dumps(p))
 
 
-def _dk_table_lines(p, csv):
-    from .kfamily import d_sequence
-
-    seq = d_sequence(p)
+def _dk_table_lines(seq, csv):
     delta = seq.delta()
     if csv:
         yield "k,d_k,delta_d_k"
@@ -77,8 +67,9 @@ def _dk_table_lines(p, csv):
 
 
 def dk_table(input, csv):
-    p = _read_poset(input)
-    for line in _dk_table_lines(p, csv):
+    from .kfamily import d_sequence
+
+    for line in _dk_table_lines(d_sequence(_read_poset(input)), csv):
         print(line)
 
 
@@ -131,18 +122,21 @@ def saturate(input, ks, **limits):
         sys.exit(1)
 
 
-def dual(input, realizer, table, csv, **limits):
-    """The conjugate's dk-table or certificate: its chain partitions are
-    the proper colorings of the input's comparability graph."""
-    from . import graphdual
-
-    q = graphdual.conjugate(_read_poset(input, realizer))
+def dual(input, table, csv, **limits):
+    """Cliques and colorings of the comparability graph G: --table prints
+    omega_k(G) = e_k from the input's own flow, for every poset; else
+    certify the conjugate, whose chain partitions are G's colorings."""
+    p = _read_poset(input)
     if table:
-        for line in _dk_table_lines(q, csv):
+        from . import kfamily
+
+        seq = kfamily.DSequence(kfamily.chain_unions(p)[1:])
+        for line in _dk_table_lines(seq, csv):
             print(line)
         return
-    from . import saturation
+    from . import graphdual, saturation
 
+    q = graphdual.conjugate(p)
     _print_report(saturation.is_polyunsaturated(q, **limits))
 
 
@@ -162,9 +156,7 @@ def feasible(n, c, a, dual_side):
     if dual_side:
         if None in (n, a, c):
             raise BadParameters("--dual needs --n, --a, and --c")
-        from .graphdual import feasible_dual_nac
-
-        verdict = feasible_dual_nac(n, a, c)
+        verdict = construct.feasible_dual_nac(n, a, c)
     elif None not in (n, c, a):
         verdict = construct.feasible_nca(n, c, a)
     elif n is None and None not in (c, a):
@@ -222,10 +214,7 @@ GRAMMAR = dict(title="commands", commands={
     )), *_LIMITS)),
     "dual": dict(run=dual, args=(
         _INPUT,
-        ("--realizer", {"type": _realizer, "help": "Two comma-separated"
-                        " permutations joined by '/'; defaults to the"
-                        " construction-carried realizer."}),
-        ("--table", dict(_FLAG, help="dk-table of the conjugate.")),
+        ("--table", dict(_FLAG, help="e_k, the largest union of k chains.")),
         ("--csv", _FLAG), *_LIMITS,
     )),
     "enumerate": dict(run=enumerate_cmd, args=(("--n", _INT),)),

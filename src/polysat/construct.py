@@ -263,6 +263,13 @@ def feasible_nca(n, c, a):
     return FeasibilityVerdict(not failed, tuple(failed))
 
 
+def feasible_dual_nac(n, a, c):
+    """Coloring-side existence test; the role swap of feasible_nca."""
+    if a < 3:
+        raise BadParameters("need a >= 3")
+    return feasible_nca(n, c=a, a=c)
+
+
 def sequence_for(n, c, a):
     """A realizable delta sequence with sum n and first entry a.
 

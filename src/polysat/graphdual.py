@@ -1,17 +1,17 @@
-"""2-realizers, conjugate orders, and the coloring-side feasibility.
+"""2-realizers and conjugate orders, for `dual`'s certificate.
 
 A poset has dimension at most 2 exactly when the complement of its
 comparability graph is again a comparability graph; the conjugate order
-built from a 2-realizer orients that complement.  The graph questions
-therefore reduce to the poset's own: for the comparability graph G of P,
-alpha_k(G) = d_k(P) and omega_k(G) = e_k(P) (Greene 1976; Frank 1980), and
-proper colorings of G are chain partitions of the conjugate, so the
-coloring-side saturation duals are the conjugate's polyunsaturation.
-The order of a 2-realizer, the intersection of its two linear orders
-(Dushnik and Miller 1941), is read off suffix masks in O(n) row steps.
+built from a 2-realizer orients that complement.  For the comparability
+graph G of P, alpha_k(G) = d_k(P) and omega_k(G) = e_k(P) (Greene 1976;
+Frank 1980) need no conjugate, but the proper colorings of G are chain
+partitions of the conjugate, so the coloring-side saturation duals are
+the conjugate's polyunsaturation.  The order of a 2-realizer, the
+intersection of its two linear orders (Dushnik and Miller 1941), is read
+off suffix masks in O(n) row steps.
 """
 
-from .errors import BadParameters, InvalidRealizer
+from .errors import InvalidRealizer
 from .poset import Poset, Realizer, bits
 
 
@@ -39,17 +39,21 @@ def verify_realizer(p, r):
     return _order(r.ext1, r.ext2) == list(p.up)
 
 
-def conjugate(p, r=None):
+def conjugate(p):
     """The order x below y iff x precedes y in ext1 and follows in ext2.
 
-    Its comparability graph is the complement of the original one (checked
-    internally).  The result is relabeled topologically by ext1 order and
-    is the order of its own realizer: the identity and ext2 reversed.
+    ext1 and ext2 are p's realizer, which must realize p.  The result's
+    comparability graph is the complement of p's (checked internally).  It
+    is relabeled topologically by ext1 order and is the order of its own
+    realizer: the identity and ext2 reversed.
     """
+    r = p.realizer
     if r is None:
-        r = p.realizer
-    if r is None or not verify_realizer(p, r):
-        raise InvalidRealizer("need a verified 2-realizer")
+        raise InvalidRealizer(
+            'the poset carries no 2-realizer: its JSON has no "realizer"'
+        )
+    if not verify_realizer(p, r):
+        raise InvalidRealizer("the realizer's order is not the poset's")
     n = p.n
     names = [p.name(x) for x in r.ext1] if p.names is not None else None
     newidx = [0] * n
@@ -70,12 +74,3 @@ def conjugate(p, r=None):
         if q.up[i] | q.down[i] != full & ~mapped & ~(1 << i):
             raise AssertionError("conjugate's graph is not the complement")
     return q
-
-
-def feasible_dual_nac(n, a, c):
-    """Coloring-side existence test; the role swap of the primal one."""
-    from .construct import feasible_nca
-
-    if a < 3:
-        raise BadParameters("need a >= 3")
-    return feasible_nca(n, c=a, a=c)

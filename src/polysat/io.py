@@ -44,16 +44,15 @@ def _int_rows(rows, count=None, length=None):
     return all(issubclass(t, int) and t is not bool for t in kinds)
 
 
-def poset_from_obj(obj, realizer=None):
-    """Validate a decoded poset object and build the poset it describes.
-    A realizer given here, in the object's labels, replaces its own."""
+def poset_from_obj(obj):
+    """Validate a decoded poset object and build the poset it describes."""
     if not (isinstance(obj, dict) and _int_rows([[obj.get("n")]])):
         raise BadParameters("malformed poset JSON: need an integer n")
     n = obj["n"]
     check_size(n)
     covers = obj.get("covers", [])
     names = obj.get("names")
-    carried = obj.get("realizer")
+    realizer = obj.get("realizer")
     if not _int_rows(covers, length=2):
         raise BadParameters("covers must be a list of [x, y] integer pairs")
     if names is not None and not (
@@ -62,25 +61,25 @@ def poset_from_obj(obj, realizer=None):
         and all(isinstance(x, str) for x in names)
     ):
         raise BadParameters("names must be a list of n strings")
-    if carried is not None:
-        if not _int_rows(carried, count=2):
+    if realizer is not None:
+        if not _int_rows(realizer, count=2):
             raise BadParameters("realizer must be two lists of integers")
-        carried = Realizer(*map(tuple, carried))
-    return from_covers(n, covers, names, realizer or carried)[0]
+        realizer = Realizer(*map(tuple, realizer))
+    return from_covers(n, covers, names, realizer)[0]
 
 
 def dumps(p):
     return json.dumps(poset_to_obj(p), separators=(", ", ": ")) + "\n"
 
 
-def loads(text, realizer=None):
+def loads(text):
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and integers with too many
         # digits; RecursionError comes from deeply nested arrays.
         raise BadParameters(f"invalid JSON: {exc}") from None
-    return poset_from_obj(obj, realizer)
+    return poset_from_obj(obj)
 
 
 def export_dot(p):

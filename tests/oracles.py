@@ -570,10 +570,9 @@ def verify_realizer_pairs(p, r):
     return True
 
 
-def conjugate_pairs(p, r=None):
+def conjugate_pairs(p):
     """conjugate with each row built over every later element."""
-    if r is None:
-        r = p.realizer
+    r = p.realizer
     if r is None or not verify_realizer_pairs(p, r):
         raise InvalidRealizer("need a verified 2-realizer")
     n = p.n

@@ -19,14 +19,19 @@ from polysat import (
     chain_poset,
     cli,
     disjoint_union,
+    enumerate_posets,
+    from_covers,
     from_delta,
     io,
     kfamily,
     saturation,
+    width,
 )
 from polysat.cli import main
 from polysat.graphdual import conjugate
 from polysat.io import MAX_N, dumps, export_dot, loads
+from oracles import comparability_graph, omega_k
+from test_graphdual import dim2_samples
 
 
 @pytest.fixture
@@ -437,25 +442,69 @@ def test_dual_uses_carried_realizer(runner):
 
 
 def test_dual_explicit_and_bad_realizer(runner):
-    p = dumps(chain_poset(3))
-    result = invoke(
-        runner, ["dual", "-", "--realizer", "0,1,2/0,1,2", "--table"], stdin=p
+    # A realizer enters only as the file's "realizer", in the file's labels.
+    def code(args, obj):
+        stdin = json.dumps(obj)
+        return invoke(runner, ["dual", "-", *args], stdin=stdin).exit_code
+
+    chain = {"n": 3, "covers": [[0, 1], [1, 2]]}
+    identity = dict(chain, realizer=[[0, 1, 2], [0, 1, 2]])
+    assert code(["--table"], identity) == code([], identity) == 0
+    reversed_ext1 = dict(chain, realizer=[[2, 1, 0], [0, 1, 2]])
+    assert code([], reversed_ext1) == 2
+    # --table reads the input's own flow and never the realizer.
+    assert code(["--table"], reversed_ext1) == 0
+    relabelled = {"n": 2, "covers": [[1, 0]], "realizer": [[1, 0], [1, 0]]}
+    assert code([], relabelled) == 0
+    assert code([], dict(relabelled, realizer=[[0, 1], [0, 1]])) == 2
+    assert code(["--realizer", "0/0"], identity) == 2
+
+
+def standard_example(m):
+    """S_m: a_i < b_j for all i != j.  It has dimension m, so for m >= 3
+    it carries no 2-realizer."""
+    pairs = [(i, m + j) for i in range(m) for j in range(m) if i != j]
+    return from_covers(2 * m, pairs)[0]
+
+
+def test_dual_says_what_the_realizer_lacks(runner):
+    result = invoke(runner, ["dual", "-"], stdin=dumps(standard_example(3)))
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr == (
+        'error: the poset carries no 2-realizer: its JSON has no "realizer"\n'
     )
-    assert result.exit_code == 0
-    result = invoke(
-        runner, ["dual", "-", "--realizer", "2,1,0/0,1,2"], stdin=p
-    )
-    assert result.exit_code == 2
-    # --realizer is in the file's labels, as the file's own realizer is.
-    p = '{"n": 2, "covers": [[1, 0]]}'
-    result = invoke(
-        runner, ["dual", "-", "--realizer", "1,0/1,0", "--table"], stdin=p
-    )
-    assert result.exit_code == 0
-    result = invoke(
-        runner, ["dual", "-", "--realizer", "0,1/0,1", "--table"], stdin=p
-    )
-    assert result.exit_code == 2
+    wrong = {"n": 3, "covers": [[0, 1]], "realizer": [[2, 1, 0], [0, 1, 2]]}
+    result = invoke(runner, ["dual", "-"], stdin=json.dumps(wrong))
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr == "error: the realizer's order is not the poset's\n"
+
+
+def test_dual_table_is_the_conjugates_dk_table(runner):
+    # The conjugate's dk-table is the reference: its d_k are the input's e_k.
+    for p in dim2_samples():
+        for q in (p, conjugate(p)):
+            expected = kfamily.d_sequence(conjugate(q))
+            for csv in (False, True):
+                args = ["dual", "-", "--table"] + ["--csv"] * csv
+                result = invoke(runner, args, stdin=dumps(q))
+                assert result.exit_code == 0
+                lines = list(cli._dk_table_lines(expected, csv))
+                assert result.output.splitlines() == lines
+
+
+def test_dual_table_is_omega_k_of_every_poset(runner):
+    # omega_k of the comparability graph needs no realizer: the standard
+    # examples have none, and no enumerated class carries one.
+    cases = [standard_example(3), standard_example(4)]
+    cases += [p for n in range(1, 6) for p in enumerate_posets(n)]
+    for p in cases:
+        args = ["dual", "-", "--table", "--csv"]
+        result = invoke(runner, args, stdin=dumps(p))
+        assert result.exit_code == 0
+        d = [int(line.split(",")[1]) for line in result.output.split()[1:]]
+        g = comparability_graph(p)
+        assert d == [omega_k(g, k) for k in range(1, len(d) + 1)]
+        assert d[-1] == p.n and len(d) == width(p)
 
 
 def test_enumerate(runner):
@@ -568,7 +617,7 @@ def argvs(draw):
 @settings(deadline=None, max_examples=500)
 @given(argvs())
 @example(["certify", "-", "--budget-seconds", "nan"])
-@example(["dual", "in.json", "--realizer", "0,1,2/0,1,2", "--csv", "--csv"])
+@example(["dual", "in.json", "--table", "--csv", "--csv"])
 @example(["feasible", "--n", "3", "--n", "4", "--dual"])
 @example(["construct", "pj", "--j", "3", "extra"])
 @example(["dk-table", "-", "dk-table"])
@@ -619,7 +668,7 @@ HELP_SHA256 = {
     "dk-table": "53c60d940833564c120f759ecd87bdfed1d1f555d5e8068f267d6d5be14da6be",
     "certify": "1ec6bd7873e579b6072e089553ac6a6c81f4f2ff9f353ae8b5fcfa906305f123",
     "saturate": "e385b1d84fb8d5838a21ff3579cd90d18ac383e7b538620bc3cb32d42990639d",
-    "dual": "53c2ca73117077d8c77f1291cf5b0f61284fcaf4c5b7bf64eca6b4f59579606b",
+    "dual": "3bee9a93d694d9e35160f1de5cf7d77898c2556ecc3847ffb19b7ef7752f2919",
     "enumerate": "71be66826710fa0befbd7d6672603bbd08d7ef8f4079910450c88042bf960854",
     "feasible": "b874ac70bf161d87b8a7de97be051eb5d7ea0f994d3fe9f158db62f87fc96187",
     "construct pj": "bc225ed25ea7466e68f916435647b531e149041a0821a2ff2a074f5c74e77c49",
@@ -644,11 +693,7 @@ USAGE_ERRORS = {
     "construct delta --b 3,x": "usage: polysat construct delta [--help]"
     " --b B [--dot]\npolysat construct delta: error: argument --b:"
     " expected comma-separated integers\n",
-    "dual --realizer x": "usage: polysat dual [--help] [--realizer REALIZER]"
-    " [--table] [--csv]\n                    [--limit-n LIMIT_N]"
-    " [--budget-seconds SECONDS]\n                    [input]\n"
-    "polysat dual: error: argument --realizer: expected comma-separated"
-    " integers\n",
+    "dual - --realizer 0/0": TOP + "unrecognized arguments: --realizer 0/0\n",
     "dk-table --csv=1": "usage: polysat dk-table [--help] [--csv] [input]\n"
     "polysat dk-table: error: argument --csv: ignored explicit argument"
     " '1'\n",

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from polysat import (
+    Poset,
     Realizer,
     antichain_poset,
     build_pj,
@@ -146,8 +147,10 @@ def mutations(rng, r, n):
 
 
 def conjugate_fields(conjugate_fn, p, r):
+    """The fields of conjugate_fn's result for p's order carrying r, or
+    None if it refuses r."""
     try:
-        q = conjugate_fn(p, r)
+        q = conjugate_fn(Poset(p.n, p.up, names=p.names, realizer=r))
     except InvalidRealizer:
         return None
     return q.up, q.names, q.realizer
@@ -203,10 +206,11 @@ def test_conjugate_involution_up_to_isomorphism():
 
 def test_conjugate_needs_realizer():
     p = random_poset(seeded(32), 5)
-    with pytest.raises(InvalidRealizer):
+    with pytest.raises(InvalidRealizer, match="carries no 2-realizer"):
         conjugate(p)
-    with pytest.raises(InvalidRealizer):
-        conjugate(chain_poset(3), Realizer((2, 1, 0), (0, 1, 2)))
+    r = Realizer((2, 1, 0), (0, 1, 2))
+    with pytest.raises(InvalidRealizer, match="order is not the poset's"):
+        conjugate(Poset(3, chain_poset(3).up, realizer=r))
 
 
 def test_conjugate_chains_are_color_classes():

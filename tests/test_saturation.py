@@ -273,6 +273,50 @@ def test_certify_matches_per_pair_dp_past_n_24():
     assert_matches_per_pair_dp(build_pj(6)[0], limit_n=28)
 
 
+def ordinal_sum(p, q):
+    """p below q: every element of p under every element of q."""
+    top = ((1 << q.n) - 1) << p.n
+    up = [row | top for row in p.up] + [row << p.n for row in q.up]
+    return Poset(p.n + q.n, up)
+
+
+def under_bottom(p):
+    """p with a new least element."""
+    return Poset(p.n + 1, [((1 << p.n) - 1) << 1, *(r << 1 for r in p.up)])
+
+
+def least_slacks(report):
+    """min_joint_norm - d_k - d_l of each refuted pair (k, l)."""
+    return {
+        (k, l): v.min_joint_norm - report.d[k - 1] - report.d[l - 1]
+        for (k, l), v in report.pair_verdicts.items()
+        if isinstance(v, NoJointPartition)
+    }
+
+
+@pytest.mark.parametrize(
+    "build, slacks",
+    [
+        (
+            lambda p2: ordinal_sum(p2, p2),
+            {(1, 5): 1, (1, 6): 1, (1, 7): 1, (2, 5): 1, (2, 6): 2,
+             (2, 7): 1, (3, 5): 1, (3, 6): 1, (3, 7): 1},
+        ),
+        (
+            lambda p2: under_bottom(disjoint_union(p2, p2)),
+            {(1, 3): 2, (1, 4): 1},
+        ),
+    ],
+    ids=["P2+P2", "bottom-under-2P2"],
+)
+def test_connected_posets_reach_least_slack_2(build, slacks):
+    # Every refuted pair of every class with n <= 8, and of the towers,
+    # has least slack 1; these connected posets (n = 12 and 13) reach 2.
+    p = build(build_pj(2)[0])
+    assert_matches_per_pair_dp(p)
+    assert least_slacks(is_polyunsaturated(p)) == slacks
+
+
 @settings(deadline=None, max_examples=60)
 @given(posets(max_n=10))
 def test_certify_matches_per_pair_dp_property(p):
