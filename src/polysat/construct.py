@@ -40,24 +40,20 @@ class FeasibilityVerdict(Value):
 
 def _union(parts):
     """The order of raw parts (up, names, realizer) with no relations
-    between them, numbered in turn; names and realizer are those that a
-    fold of binary unions gives."""
-    if len(parts) == 1:
-        return Poset(len(parts[0][0]), *parts[0])
-    up, names, ext1, ext2 = [], None, [], []
+    between them, numbered in turn; once a part has names, an unnamed
+    part's element is named by its union index, as Poset.name calls it."""
+    up, names, ext1, ext2 = [], [], [], []
     for rows, part_names, realizer in parts:
         shift = len(up)
         up += [m << shift for m in rows]
-        # Unnamed parts before the first named one keep their union indices.
-        if names is None and part_names:
-            names = [str(x) for x in range(shift)]
-        if names is not None:
-            names += part_names or map(str, range(len(rows)))
+        names += part_names or map(str, range(shift, len(up)))
         if realizer is not None:
             # Each part is appended in ext1 and prepended in ext2: the
             # parts stay incomparable while each keeps its own realizer.
             ext1 += [x + shift for x in realizer.ext1]
             ext2[:0] = [x + shift for x in realizer.ext2]
+    if not any(part[1] for part in parts):
+        names = None
     if any(part[2] is None for part in parts):
         return Poset(len(up), up, names)
     return Poset(len(up), up, names, Realizer(tuple(ext1), tuple(ext2)))
@@ -67,8 +63,6 @@ def disjoint_union(*parts):
     """Order with no relations between the posets, numbered in turn."""
     if None in parts:
         raise EmptyPoset("disjoint_union needs posets, not None")
-    if len(parts) == 1:
-        return parts[0]
     return _union([(q.up, q.names, q.realizer) for q in parts])
 
 
@@ -220,8 +214,8 @@ def from_delta(b):
     While b is above its lower bounds, peel a chain of t elements, where
     t is the last position still above its lower bound; the result is
     the tower poset of the lower bounds joined with the peeled chains,
-    the last peeled first.  Heights below 3 are disjoint chains sized by
-    the conjugate partition.
+    the last peeled first, their elements named by index.  Heights below
+    3 are unnamed disjoint chains sized by the conjugate partition.
     """
     b = (b if isinstance(b, DeltaSequence) else DeltaSequence(tuple(b))).b
     for i in range(1, len(b) - 2):

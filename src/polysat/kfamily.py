@@ -152,11 +152,11 @@ def chain_unions(p):
 
 
 def d_sequence(p):
-    """d_k = n - max_f (e_f - k f) for k = 1..height, from one flow run.
+    """d_k = n - max_f (e_f - k f) for k = 1..height, by one flow per Poset.
 
     Greene-Kleitman duality (Greene 1976, JCTA 20:69; Frank 1980, JCTB
-    29:176); the height is e_1.  The flow runs once per Poset instance;
-    later calls read the sequence it kept in p.derived.
+    29:176); the height is e_1.  An antichain lies in one summand of an
+    ordinal sum: d_k(P (+) Q) = max_{i+j=k} d_i(P) + d_j(Q), d_0 = 0.
     """
     seq = p.derived.get("d")
     if seq is None:

@@ -91,10 +91,10 @@ class Poset(Value):
     strictly below, and covers[x] the ascending tuple of x's upper covers,
     kept from the walk that validates irreflexivity, antisymmetry,
     transitivity and topological indexing in O(n + covers) row steps.
-    names and realizer are given at construction and, like the order,
-    never change; equality and hashing look at the order only.  derived
-    caches values of the order, such as the d sequence, once per
-    instance; a copy or a pickle is built from the rest and starts empty.
+    names (n strings, or None: then name(x) is str(x)) and realizer are
+    fixed at construction, like the order; equality and hashing look at
+    the order only.  derived caches values of the order, such as the d
+    sequence, once per instance; a copy or a pickle starts it empty.
     """
 
     __slots__ = ("n", "up", "down", "covers", "names", "realizer", "derived")
@@ -105,8 +105,10 @@ class Poset(Value):
         up = tuple(up)
         if len(up) != n:
             raise ValueError("up must have one row per element")
-        if names is not None and len(names) != n:
-            raise ValueError("names must have one entry per element")
+        if names is not None:
+            names = tuple(names)
+            if len(names) != n or not all(isinstance(x, str) for x in names):
+                raise ValueError("names must be n strings")
         full_above = (1 << n) - 1
         for x in range(n):
             row = up[x]
@@ -133,7 +135,6 @@ class Poset(Value):
         for x in range(n):
             for y in covers[x]:
                 down[y] |= down[x] | 1 << x
-        names = None if names is None else tuple(names)
         covers = tuple(map(tuple, covers))
         super().__init__(n, up, tuple(down), covers, names, realizer, {})
 
@@ -185,8 +186,7 @@ def from_covers(n, covers, names=None, realizer=None):
             succs[x].add(y)
             indeg[y] += 1
     heap = [i for i in range(n) if indeg[i] == 0]  # sorted, so a heap
-    order = []
-    mapping = [0] * n
+    order, mapping = [], [0] * n
     while heap:
         x = heapq.heappop(heap)
         mapping[x] = len(order)

@@ -30,6 +30,7 @@ checked by a matching, and the tower joined with one chain Poset per
 peeled chain by a fold of validated unions.
 """
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -38,7 +39,6 @@ from polysat.construct import PjLabels, lower_bounds
 from polysat.errors import (
     BadK,
     BadParameters,
-    EmptyPoset,
     InvalidDelta,
     InvalidRealizer,
     SizeLimitExceeded,
@@ -718,31 +718,29 @@ def build_pj_covers(j):
     return p, labels
 
 
-def _disjoint_union_posets(*parts):
-    """Order with no relations between the parts, numbered in turn; names
-    and realizer are those that a fold of binary unions gives."""
-    if None in parts:
-        raise EmptyPoset("disjoint_union needs posets, not None")
-    if len(parts) == 1:
-        return parts[0]
-    up, names, ext1, ext2 = [], None, [], []
-    for q in parts:
-        shift = len(up)
-        up += [m << shift for m in q.up]
-        # Unnamed parts before the first named one keep their union indices.
-        if names is None and q.names is not None:
-            names = [str(x) for x in range(shift)]
-        if names is not None:
-            names += [q.name(x) for x in range(q.n)]
-        if q.realizer is not None:
-            # Each part is appended in ext1 and prepended in ext2: the
-            # parts stay incomparable while each keeps its own realizer.
-            ext1 += [x + shift for x in q.realizer.ext1]
-            ext2[:0] = [x + shift for x in q.realizer.ext2]
+def _union_of_two(p, q):
+    """p and q with no relations between them, q numbered after p.  Once
+    either has names, an unnamed side's elements are named by their index
+    in the union; the realizer puts q after p in ext1 and before it in
+    ext2, so the two stay incomparable."""
+    up = list(p.up) + [m << p.n for m in q.up]
+    names = None
+    if p.names is not None or q.names is not None:
+        names = list(p.names or map(str, range(p.n)))
+        names += q.names or map(str, range(p.n, p.n + q.n))
     realizer = None
-    if all(q.realizer is not None for q in parts):
-        realizer = Realizer(tuple(ext1), tuple(ext2))
-    return Poset(len(up), up, names=names, realizer=realizer)
+    if p.realizer is not None and q.realizer is not None:
+        realizer = Realizer(
+            p.realizer.ext1 + tuple(x + p.n for x in q.realizer.ext1),
+            tuple(x + p.n for x in q.realizer.ext2) + p.realizer.ext2,
+        )
+    return Poset(p.n + q.n, up, names=names, realizer=realizer)
+
+
+def _disjoint_union_posets(*parts):
+    """Order with no relations between the parts, numbered in turn: a fold
+    of binary unions."""
+    return functools.reduce(_union_of_two, parts)
 
 
 def _chain_poset(t, names=None):

@@ -24,6 +24,7 @@ from polysat import (
     from_delta,
     io,
     kfamily,
+    realize_nca,
     saturation,
     width,
 )
@@ -43,8 +44,24 @@ def invoke(runner, args, stdin=None):
     return runner.invoke(main, args, input=stdin, catch_exceptions=False)
 
 
+def constructor_outputs():
+    """Chains, antichains, towers, from_delta and realize_nca outputs, and
+    a union with unnamed parts on both sides of a named one."""
+    yield from (chain_poset(3), antichain_poset(2))
+    yield chain_poset(2, names=["a", "b"])
+    yield antichain_poset(2, names=["a", "b"])
+    yield from (build_pj(j)[0] for j in range(1, 6))
+    for b in ((2,), (3, 2), (2, 2, 1, 1), (4, 4, 2, 1), (6, 5, 4, 1, 1)):
+        yield from_delta(b)
+    for n, c, a in ((10, 5, 3), (8, 4, 3), (30, 6, 7)):
+        yield realize_nca(n, c, a)
+    yield disjoint_union(
+        chain_poset(2), antichain_poset(2, names=["a", "b"]), chain_poset(2)
+    )
+
+
 def test_json_round_trip_is_byte_identical():
-    for p in (chain_poset(3), antichain_poset(2), build_pj(3)[0]):
+    for p in constructor_outputs():
         text = dumps(p)
         assert dumps(loads(text)) == text
 
@@ -75,6 +92,10 @@ def test_export_dot_examples():
         assert f'label="{label}"' in dot
     dot = export_dot(chain_poset(2, names=['a"b', "c\\d"]))
     assert 'label="a\\"b"' in dot and 'label="c\\\\d"' in dot
+    # Each element is labelled by its name, or by its index if it has none.
+    for p in constructor_outputs():
+        labels = [f'  v{x} [label="{p.name(x)}"];' for x in range(p.n)]
+        assert export_dot(p).splitlines()[2 : 2 + p.n] == labels
 
 
 def test_construct_pj(runner):
@@ -555,6 +576,20 @@ def test_feasible_exit_codes(runner):
         ["feasible", "--n", "10", "--a", "5", "--c", "3", "--dual"],
     )
     assert result.exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--n", "5", "--c", "4", "--dual"], "--dual needs --n, --a, and --c"),
+        (["--n", "5"], "give --c plus --a and/or --n"),
+    ],
+    ids=["dual-without-a", "n-alone"],
+)
+def test_feasible_refusals(runner, args, message):
+    result = invoke(runner, ["feasible", *args])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
 
 
 def _commands(spec=cli.GRAMMAR, path=()):

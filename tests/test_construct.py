@@ -29,12 +29,13 @@ from polysat import (
     verify_realizer,
     width,
 )
-from polysat.construct import _certify
+from polysat.construct import FeasibilityVerdict, _certify
 from polysat.errors import BadK, BadParameters, Infeasible, InvalidDelta
 from polysat.io import dumps, export_dot
 from polysat import poset
 from polysat.poset import Poset, Realizer
 from oracles import build_pj_covers, from_delta_unions, isomorphic
+from util import refusal
 
 
 def all_valid_deltas(max_c, max_sum):
@@ -268,6 +269,44 @@ def test_from_delta_matches_the_union_oracle():
         assert dumps(p) == dumps(q)
 
 
+def test_from_delta_names_every_element_once():
+    # The tower's names start with a letter, and a peeled chain's elements
+    # are called by their indices in the union, so no name repeats.
+    cases = accepted_deltas(8, 8)
+    assert len(cases) == 1001
+    for b, p in cases:
+        assert len({p.name(x) for x in range(p.n)}) == p.n, b
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: FeasibilityVerdict(True, ("x",)), ValueError,
+            "feasible iff no condition failed", id="verdict-disagrees",
+        ),
+        pytest.param(
+            lambda: upper_bounds(2, 5), BadParameters, "need c >= 3",
+            id="upper_bounds-c2",
+        ),
+        pytest.param(
+            lambda: feasible_nca(5, 4, 0), BadParameters,
+            "n and a must be positive", id="feasible_nca-a0",
+        ),
+        pytest.param(
+            lambda: feasible_ca(0, 1), BadParameters,
+            "c and a must be positive", id="feasible_ca-c0",
+        ),
+        pytest.param(
+            lambda: feasible_nc(0, 3), BadParameters,
+            "n and c must be positive", id="feasible_nc-n0",
+        ),
+    ],
+)
+def test_construct_refusals(call, error, message):
+    assert refusal(call) == (error, message)
+
+
 def test_from_delta_height_and_width_by_matching():
     for b, p in accepted_deltas(6, 7):
         assert (height(p), width(p)) == (len(b), b[0]), b
@@ -352,6 +391,6 @@ def test_constructor_bytes_at_max_n():
     assert [sha256(f(p)) for p in (pj, nca) for f in (dumps, export_dot)] == [
         "f727363c0d260f97b1fe72c10a29344e230f9309cbb3621984a0396e78d3101a",
         "4b511ee97ab4e8fe319df47086e54253371eef2d4717829ea8715017bb52c035",
-        "670de3da098e4bd6894df6d0cda9100924dc992868dc1688653ce7ba341d8938",
-        "c22b6a2129a8edfe828cdea1ea433c5b29b988a0d6f62661a93c437e6bafd91e",
+        "0672e95d3105b256f5c66764f07cb6e9f3500af6bf28cbd3c5347d8e9256cf9e",
+        "b3cb49d2eb1faf0310a33cbe9f60c83a05da5e8127bcc6cc49a5b66266e22cc4",
     ]

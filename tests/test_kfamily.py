@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from polysat import (
+    DSequence,
     DeltaSequence,
     antichain_poset,
     build_pj,
@@ -26,7 +27,7 @@ from polysat.kfamily import chain_unions
 from polysat.saturation import max_kfamily
 from oracles import dk_branch_and_bound, dk_oracle, max_kfamily_from_chains
 from test_cover_walks import sample_posets
-from util import posets, random_poset, seeded
+from util import ordinal_sum, posets, random_poset, refusal, seeded
 
 
 def tower_delta(j):
@@ -237,6 +238,25 @@ def test_dk_additive_over_disjoint_union():
             assert dk(u, k) == dk(p, k) + dk(q, k)
 
 
+def test_dk_of_an_ordinal_sum_is_the_best_split_of_k():
+    # Every antichain of P (+) Q lies in one summand, so d_k(P (+) Q) is the
+    # max over i + j = k of d_i(P) + d_j(Q), with d_0 = 0.
+    def d(p, i):
+        return dk(p, i) if i else 0
+
+    rng, checked = seeded(13), 0
+    for _ in range(300):
+        p, q = (
+            random_poset(rng, rng.randint(1, 9), rng.choice((0.1, 0.3, 0.6)))
+            for _ in range(2)
+        )
+        s = ordinal_sum(p, q)
+        for k in range(1, height(s) + 1):
+            assert dk(s, k) == max(d(p, i) + d(q, k - i) for i in range(k + 1))
+            checked += 1
+    assert checked > 1000
+
+
 def test_strong_sperner_towers_and_chains():
     for j in range(1, 5):
         assert is_strong_sperner(build_pj(j)[0])
@@ -267,3 +287,20 @@ def test_delta_sequence_validation():
         DeltaSequence((2, 3))
     with pytest.raises(ValueError):
         DeltaSequence((2, 0))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: DSequence((2, 1)), ValueError,
+            "d sequence must be strictly increasing", id="DSequence-falling",
+        ),
+        pytest.param(
+            lambda: DSequence((1, 3, 4)), ValueError,
+            "d sequence must be concave", id="DSequence-convex",
+        ),
+    ],
+)
+def test_kfamily_refusals(call, error, message):
+    assert refusal(call) == (error, message)

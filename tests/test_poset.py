@@ -39,7 +39,7 @@ from polysat.saturation import (
     Witness,
 )
 from oracles import isomorphic, least_labelling_bruteforce, width_bruteforce
-from util import random_poset, seeded
+from util import random_poset, refusal, seeded
 
 
 def test_from_covers_chain():
@@ -267,6 +267,58 @@ def test_disjoint_union_of_many_parts_is_the_binary_fold():
         parts = [rng.choice(kinds)() for _ in range(rng.randint(1, 5))]
         u, fold = disjoint_union(*parts), functools.reduce(disjoint_union, parts)
         assert (u, u.names, u.realizer) == (fold, fold.names, fold.realizer)
+
+
+def test_disjoint_union_names_an_unnamed_part_by_its_union_indices():
+    # As Poset.name does: an element without a name is called by its index.
+    p = disjoint_union(
+        chain_poset(2), antichain_poset(2, names=["a", "b"]), chain_poset(2)
+    )
+    assert p.names == ("0", "1", "a", "b", "4", "5")
+    assert disjoint_union(chain_poset(2), chain_poset(1)).names is None
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Poset(2, [2, 0], names=[1, 2]),
+        lambda: from_covers(2, [(0, 1)], names=[1, 2]),
+        lambda: chain_poset(2, names=[1, 2]),
+    ],
+    ids=["Poset", "from_covers", "chain_poset"],
+)
+def test_names_must_be_strings(build):
+    assert refusal(build) == (ValueError, "names must be n strings")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: from_covers(0, []), EmptyPoset,
+            "poset needs at least one element", id="from_covers-n0",
+        ),
+        pytest.param(
+            lambda: from_covers(2, [(1, 1)]), CycleDetected, "self-loop at 1",
+            id="from_covers-self-loop",
+        ),
+        pytest.param(
+            lambda: Poset(2, [0]), ValueError,
+            "up must have one row per element", id="Poset-short-up",
+        ),
+        pytest.param(
+            lambda: next(enumerate_posets(0)), EmptyPoset, "need n >= 1",
+            id="enumerate_posets-n0",
+        ),
+    ],
+)
+def test_poset_refusals(call, error, message):
+    assert refusal(call) == (error, message)
+
+
+def test_poset_repr_lists_its_covers():
+    p = Poset(3, [0b110, 0, 0])
+    assert repr(p) == "Poset(n=3, covers=[(0, 1), (0, 2)])"
 
 
 def test_empty_poset_rejected():

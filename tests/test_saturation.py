@@ -30,6 +30,7 @@ from polysat import (
     saturation,
 )
 from polysat.errors import (
+    BadK,
     BadParameters,
     BudgetExceeded,
     PartitionMismatch,
@@ -44,7 +45,14 @@ from oracles import (
     find_saturated_dp,
     is_polyunsaturated_per_pair,
 )
-from util import posets, python_optimized, random_poset, seeded
+from util import (
+    ordinal_sum,
+    posets,
+    python_optimized,
+    random_poset,
+    refusal,
+    seeded,
+)
 
 
 def singletons(p):
@@ -271,13 +279,6 @@ def test_certify_matches_per_pair_dp_on_conjugates(b):
 def test_certify_matches_per_pair_dp_past_n_24():
     # P_6 has 28 elements; every one of its pairs is refuted.
     assert_matches_per_pair_dp(build_pj(6)[0], limit_n=28)
-
-
-def ordinal_sum(p, q):
-    """p below q: every element of p under every element of q."""
-    top = ((1 << q.n) - 1) << p.n
-    up = [row | top for row in p.up] + [row << p.n for row in q.up]
-    return Poset(p.n + q.n, up)
 
 
 def under_bottom(p):
@@ -514,3 +515,36 @@ def test_defect_identity_survives_optimize_flag():
     result = python_optimized(code)
     assert result.returncode != 0
     assert "defect identity violated" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: Chain((1, 0)), ValueError,
+            "chain indices must strictly increase", id="Chain-descending",
+        ),
+        pytest.param(
+            lambda: mk(ChainPartition(chain_poset(2), (Chain((0, 1)),)), 0),
+            BadK, "k must be positive", id="mk-k0",
+        ),
+        pytest.param(
+            lambda: saturation.max_kfamily(chain_poset(2), 0),
+            BadK, "k must be positive", id="max_kfamily-k0",
+        ),
+        pytest.param(
+            lambda: min_norm(chain_poset(2), 0),
+            BadK, "k must be positive", id="min_norm-k0",
+        ),
+        pytest.param(
+            lambda: find_saturated(chain_poset(2), [0]),
+            BadK, "ks must be positive", id="find_saturated-k0",
+        ),
+        pytest.param(
+            lambda: min_joint_norm(build_pj(2)[0], 2, 1),
+            BadK, "need 1 <= k < l", id="min_joint_norm-k-above-l",
+        ),
+    ],
+)
+def test_saturation_refusals(call, error, message):
+    assert refusal(call) == (error, message)

@@ -158,10 +158,10 @@ CEILINGS = {
     "certify": 1448,
     "saturate --ks 1,2": 1448,
     "dual --table": 1056,
-    "construct pj --j 3": 1375,
+    "construct pj --j 3": 1369,
     "enumerate --n 3": 903,
-    "feasible --n 6 --c 4 --a 2": 1375,
-    "feasible --n 10 --a 5 --c 3 --dual": 1375,
+    "feasible --n 6 --c 4 --a 2": 1369,
+    "feasible --n 10 --a 5 --c 3 --dual": 1369,
 }
 
 

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 
+import pytest
 from hypothesis import strategies as st
 
 import polysat
@@ -26,6 +27,20 @@ def random_poset(rng, n, prob=0.3):
     """A random n-element poset in topological indexing."""
     pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
     return closed_poset(n, [pair for pair in pairs if rng.random() < prob])
+
+
+def ordinal_sum(p, q):
+    """p below q: every element of p under every element of q."""
+    top = ((1 << q.n) - 1) << p.n
+    up = [row | top for row in p.up] + [row << p.n for row in q.up]
+    return Poset(p.n + q.n, up)
+
+
+def refusal(call):
+    """The type and message of the exception that call() raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
 
 
 def seeded(seed=0):
